@@ -7,25 +7,24 @@ against exact Beta-representation sampling: 1 - Phi(Z_{n-k}) is a
 Beta(k+1, n-k) variate, so huge replications cost no sorting.
 """
 
-from w2gauss import extreme_mean, resolve_index_variant, sample_extreme
+from w2gauss import resolve_index_variant
 
 N = 10 ** 6
 REPS = 10 ** 6
 
 if __name__ == "__main__":
+    res = resolve_index_variant(n=N, ks=(0, 1, 2, 5), reps=REPS,
+                                seed=20260301)
     print(f"n = {N}, reps = {REPS} (exact Beta sampling, no sorting)")
     print(f"{'k':>3} {'mc mean':>9} {'se':>8} "
           f"{'shifted':>9} {'dev/se':>7} {'as_stated':>10} {'dev/se':>7}")
-    for k in (0, 1, 2, 5):
-        est = sample_extreme(N, k, REPS, seed=20260301)
-        sh = extreme_mean(N, k, "shifted").mean_pred
-        st = extreme_mean(N, k, "as_stated").mean_pred
-        print(f"{k:>3} {est.mean:>9.5f} {est.se_mean:>8.5f} "
-              f"{sh:>9.5f} {abs(est.mean - sh) / est.se_mean:>7.1f} "
-              f"{st:>10.5f} {abs(est.mean - st) / est.se_mean:>7.1f}")
+    for row in res["details"]:
+        sh = row["shifted"]
+        st = row["as_stated"]
+        print(f"{row['k']:>3} {row['mc_mean']:>9.5f} {row['se_mean']:>8.5f} "
+              f"{sh['mean_pred']:>9.5f} {sh['dev_mean_se']:>7.1f} "
+              f"{st['mean_pred']:>10.5f} {st['dev_mean_se']:>7.1f}")
     print()
-    res = resolve_index_variant(n=N, ks=(0, 1, 2, 5), reps=REPS,
-                                seed=20260301)
     print(f"canonical variant: {res['canonical']}")
     print(f"worst deviations (SE units): "
           f"shifted {res['worst_dev_se']['shifted']:.1f}, "

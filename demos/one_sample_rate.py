@@ -7,20 +7,13 @@ growth curve and the exact (simulation-free) order-statistic means.
 
 import math
 
-import numpy as np
-
-from w2gauss import (SortedSample, expected_one_sample_w2sq, standard_normals,
-                     substream, w2sq_vs_gaussian)
+from w2gauss import expected_one_sample_w2sq, replicate_w2sq
 
 SEED = 1
 
 
 def mc_mean(n, reps):
-    vals = np.empty(reps)
-    for r in range(reps):
-        rng = substream(SEED, "one_sample", n, r)
-        z = np.sort(standard_normals(rng, n))
-        vals[r] = n * w2sq_vs_gaussian(SortedSample(z))
+    vals = n * replicate_w2sq(SEED, "one_sample", n, reps)
     return vals.mean(), vals.std(ddof=1) / math.sqrt(reps)
 
 

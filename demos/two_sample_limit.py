@@ -8,9 +8,8 @@ empirical bridges of large coupled samples).
 
 import numpy as np
 
-from w2gauss import (SortedSample, build_grid, correlated_normal_pairs,
-                     ks_two_sample, sample_limit_law, substream,
-                     truncated_second_moment, w2sq_two_sample)
+from w2gauss import (build_grid, ks_two_sample, replicate_w2sq,
+                     sample_limit_law, truncated_second_moment)
 
 SEED = 2
 RHO = 0.6
@@ -19,13 +18,7 @@ DRAWS = 600
 
 
 def finite_n_draws():
-    vals = np.empty(DRAWS)
-    for r in range(DRAWS):
-        rng = substream(SEED, "two_sample", N, r)
-        xs, ys = correlated_normal_pairs(rng, N, RHO)
-        vals[r] = N * w2sq_two_sample(SortedSample(np.sort(xs)),
-                                      SortedSample(np.sort(ys)))
-    return vals
+    return N * replicate_w2sq(SEED, "two_sample", N, DRAWS, rho=RHO)
 
 
 if __name__ == "__main__":

@@ -10,10 +10,10 @@ seeded deterministic experiment runner.
 
 from .errors import (CovarianceError, DivergenceError, DomainError,
                      QuadratureError)
-from .experiments import (EXPERIMENTS, ExperimentConfig, run_experiment,
-                          run_expansions, run_integrals, run_limit_compare,
-                          run_moments, run_one_sample, run_two_sample,
-                          write_outputs)
+from .experiments import (EXPERIMENTS, ExperimentConfig, replicate_w2sq,
+                          run_experiment, run_expansions, run_integrals,
+                          run_limit_compare, run_moments, run_one_sample,
+                          run_two_sample, write_outputs)
 from .extremes import (GAMMA0, VARIANTS, ExtremeMoment, HarmonicSums,
                        MomentEstimate,
                        extreme_mean, extreme_var, harmonic_expansion_gap,
@@ -50,7 +50,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CovarianceError", "DivergenceError", "DomainError", "QuadratureError",
-    "EXPERIMENTS", "ExperimentConfig", "run_experiment", "run_expansions",
+    "EXPERIMENTS", "ExperimentConfig", "replicate_w2sq", "run_experiment",
+    "run_expansions",
     "run_integrals", "run_limit_compare", "run_moments", "run_one_sample",
     "run_two_sample", "write_outputs",
     "VARIANTS",

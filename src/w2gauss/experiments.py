@@ -7,10 +7,14 @@ runs and across worker counts — every replication reads its own
 counter-derived substream keyed ``(seed, domain, n, rep)`` and writes to
 a preallocated slot, so scheduling cannot reorder or perturb anything.
 Every row carries ``(seed, reps, config_hash)`` for provenance.
+
+All seeded W2 replications, in the runners, the release gate and the
+demos, go through one engine, :func:`replicate_w2sq`.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -30,12 +34,15 @@ from .limitlaw import (MECHANISMS, build_grid, ks_two_sample,
                        sample_limit_law)
 from .special import (as_correlation, h_tail_expansion, psi, psi_expansion,
                       quantile_tail_expansion, scaled_tail, std_normal_quantile)
-from .streams import correlated_normal_pairs, standard_normals, substream
-from .wasserstein import SortedSample, w2sq_two_sample, w2sq_vs_gaussian
+from .streams import (_correlate_inplace, _normals_inplace, _pair_rho,
+                      substream, uniforms_open)
+from .wasserstein import (_boundary_tables, _check_sorted_rows, _mean_sq,
+                          _w2sq_sorted)
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
+    "replicate_w2sq",
     "run_one_sample",
     "run_two_sample",
     "run_limit_compare",
@@ -118,23 +125,89 @@ class ExperimentConfig:
 
 
 # --------------------------------------------------------------------------
-# worker pool: slot-indexed replication
+# replication engine
 # --------------------------------------------------------------------------
 
-def _fill_slots(fn, count: int, workers: int) -> np.ndarray:
-    """``out[i] = fn(i)`` computed under ``workers`` threads.
+_BLOCK_VALUES = 2 ** 17  # float64 values drawn per block (1 MiB)
 
-    Each index is computed independently from its own substream, so the
-    result array is identical for every worker count.
+
+def _block_rows(n: int, pairs: bool) -> int:
+    """Replications per block: ``_BLOCK_VALUES`` values, at least one row."""
+    return max(1, _BLOCK_VALUES // (n * (2 if pairs else 1)))
+
+
+def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
+                   rho: float | None = None, workers: int = 1) -> np.ndarray:
+    """``W_2^2`` of replications ``0 .. reps-1``, one value per replication.
+
+    Replication ``rep`` draws a sample of size ``n`` from
+    ``substream(seed, domain, n, rep)``: with ``rho=None`` standard normals,
+    scored by :func:`w2sq_vs_gaussian` against N(0, 1); otherwise
+    correlated pairs as in :func:`correlated_normal_pairs`, scored by
+    :func:`w2sq_two_sample`.  The values are bit-for-bit those of that
+    per-replication loop, at every ``workers``.
+
+    Replications run in blocks of about 2^17 numbers (1 MiB).  The
+    calling thread draws each block's uniforms; the normal transform,
+    sort, sortedness check and kernel ("finishing") run on ``workers - 1``
+    threads, at most ``workers`` blocks in flight, or inline when
+    ``workers == 1``.  At most ``min(workers - 1, number of blocks)``
+    threads are started.
     """
-    out = np.empty(count)
-    if workers <= 1:
-        for i in range(count):
-            out[i] = fn(i)
+    n, reps, workers = int(n), int(reps), int(workers)
+    if n < 1 or reps < 1 or workers < 1:
+        raise DomainError(f"need n, reps, workers >= 1; got n={n}, "
+                          f"reps={reps}, workers={workers}")
+    pairs = rho is not None
+    if pairs:
+        rho = _pair_rho(rho)
+    else:
+        dH = _boundary_tables(n)[2]
+    rows = min(_block_rows(n, pairs), reps)
+    starts = range(0, reps, rows)
+    out = np.empty(reps)
+    # block k reuses the buffer of block k - workers, which has finished
+    # (at most ``workers`` blocks are in flight): allocating each block
+    # afresh costs a page fault per 4 KiB
+    buffers = [np.empty((2 if pairs else 1, rows, n))
+               for _ in range(min(workers, len(starts)))]
+
+    def draw(start: int) -> tuple[int, np.ndarray]:
+        # u[0] holds each replication's first n uniforms, u[1] (pairs) the
+        # next n: X's, then Z's
+        u = buffers[start // rows % len(buffers)][:, :reps - start]
+        for r in range(u.shape[1]):
+            g = substream(seed, domain, n, start + r)
+            for part in u:
+                part[r] = uniforms_open(g, n)
+        return start, u
+
+    def finish(start: int, u: np.ndarray) -> None:
+        _normals_inplace(u)
+        if pairs:
+            _correlate_inplace(u[0], u[1], rho)  # u[1] becomes Y
+        s = np.sort(u, axis=2)
+        _check_sorted_rows(s.reshape(-1, n))
+        if pairs:
+            vals = [_mean_sq(row)
+                    for row in np.subtract(s[0], s[1], out=s[0])]
+        else:
+            vals = [_w2sq_sorted(row, dH) for row in s[0]]
+        out[start:start + len(vals)] = vals
+
+    threads = min(workers - 1, len(starts))
+    if threads == 0:
+        for start in starts:
+            finish(*draw(start))
         return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i, v in zip(range(count), pool.map(fn, range(count))):
-            out[i] = v
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        in_flight = collections.deque()
+        for start in starts:
+            in_flight.append(pool.submit(finish, *draw(start)))
+            if len(in_flight) == workers:
+                in_flight.popleft().result()
+        for future in in_flight:
+            future.result()
     return out
 
 
@@ -155,12 +228,8 @@ def run_one_sample(cfg: ExperimentConfig) -> dict[str, list[dict]]:
     chash = cfg.config_hash()
     rows = []
     for n in cfg.ns:
-        def draw(rep: int, n=n) -> float:
-            g = substream(cfg.seed, "one_sample", n, rep)
-            z = np.sort(standard_normals(g, n))
-            return w2sq_vs_gaussian(SortedSample(z))
-
-        w2sq = _fill_slots(draw, cfg.reps, cfg.workers)
+        w2sq = replicate_w2sq(cfg.seed, "one_sample", n, cfg.reps,
+                              workers=cfg.workers)
         w2 = np.sqrt(w2sq)
         ll = _loglog(n)
         mean_sq = float(w2sq.mean())
@@ -181,15 +250,9 @@ def run_one_sample(cfg: ExperimentConfig) -> dict[str, list[dict]]:
 
 
 def _two_sample_draws(cfg: ExperimentConfig, n: int, domain: str) -> np.ndarray:
-    rho = float(cfg.rho)
-
-    def draw(rep: int) -> float:
-        g = substream(cfg.seed, domain, n, rep)
-        xs, ys = correlated_normal_pairs(g, n, rho)
-        return n * w2sq_two_sample(SortedSample(np.sort(xs)),
-                                   SortedSample(np.sort(ys)))
-
-    return _fill_slots(draw, cfg.reps, cfg.workers)
+    """Draws of ``n W_2^2(F_n, G_n)`` at ``cfg.rho``."""
+    return n * replicate_w2sq(cfg.seed, domain, n, cfg.reps, rho=cfg.rho,
+                              workers=cfg.workers)
 
 
 def run_two_sample(cfg: ExperimentConfig) -> dict[str, list[dict]]:

@@ -79,24 +79,42 @@ def uniforms_open(rng: np.random.Generator, size) -> np.ndarray:
     return (k + 0.5) / _TWO53
 
 
+def _normals_inplace(u: np.ndarray) -> np.ndarray:
+    """Overwrite open uniforms with their standard-normal quantiles."""
+    return ndtri(u, out=u)
+
+
 def standard_normals(rng: np.random.Generator, size) -> np.ndarray:
     """Standard normals by inverse-cdf transform of open uniforms."""
-    return ndtri(uniforms_open(rng, size))
+    return _normals_inplace(uniforms_open(rng, size))
 
 
-def correlated_normal_pairs(rng: np.random.Generator, size, rho):
-    """Pairs ``(X, Y)`` with correlation rho: ``Y = rho X + sqrt(1-rho^2) Z``.
-
-    ``rho`` may be a float or anything float() accepts (e.g. a
-    Correlation); |rho| < 1 is required.
-    """
+def _pair_rho(rho) -> float:
+    """``float(rho)``, or ``DomainError`` unless it is finite with |rho| < 1."""
     try:
         rho = float(rho)
     except (TypeError, ValueError):
         raise DomainError(f"correlated pairs need a real rho, got {rho!r}")
     if not (math.isfinite(rho) and abs(rho) < 1):
         raise DomainError(f"correlated pairs need |rho| < 1, got {rho!r}")
+    return rho
+
+
+def _correlate_inplace(x: np.ndarray, z: np.ndarray, rho: float) -> np.ndarray:
+    """``Y = rho X + sqrt(1-rho^2) Z`` for independent normals, over ``z``."""
+    z *= math.sqrt(1.0 - rho * rho)
+    z += rho * x
+    return z
+
+
+def correlated_normal_pairs(rng: np.random.Generator, size, rho):
+    """Pairs ``(X, Y)`` with correlation rho: ``Y = rho X + sqrt(1-rho^2) Z``.
+
+    ``rho`` may be a float or anything float() accepts (e.g. a
+    Correlation); |rho| < 1 is required.  X's normals are drawn first,
+    then Z's.
+    """
+    rho = _pair_rho(rho)
     x = standard_normals(rng, size)
     z = standard_normals(rng, size)
-    y = rho * x + math.sqrt(1.0 - rho * rho) * z
-    return x, y
+    return x, _correlate_inplace(x, z, rho)

@@ -69,6 +69,20 @@ class GaussianReference:
 STANDARD = GaussianReference(0.0, 1.0)
 
 
+def _check_sorted_rows(rows: np.ndarray) -> None:
+    """``DomainError`` unless every row of the 2-d array is a sorted sample.
+
+    A row passes when its endpoints are finite and each neighbour pair is
+    ordered; a NaN fails the ordering, and an infinity in a nondecreasing
+    row would sit at an endpoint.
+    """
+    if not np.isfinite(rows[:, [0, -1]]).all():
+        raise DomainError("a sorted sample requires finite values")
+    if not (rows[:, 1:] >= rows[:, :-1]).all():
+        raise DomainError("sorted sample values must be finite and "
+                          "nondecreasing")
+
+
 @dataclasses.dataclass(frozen=True)
 class SortedSample:
     """An ascending sample of finite reals; rank i holds the order statistic.
@@ -84,10 +98,7 @@ class SortedSample:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise DomainError("SortedSample requires a 1-d sample with n >= 1")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("SortedSample requires finite values")
-        if np.any(np.diff(arr) < 0):
-            raise DomainError("SortedSample values must be nondecreasing")
+        _check_sorted_rows(arr[np.newaxis])
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -142,8 +153,9 @@ class W2Decomposition:
 # --------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=8)
-def _boundary_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tables ``H[i] = h(i/n)`` and ``A2[i] = (A2 at i/n)`` for i = 0..n.
+def _boundary_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables ``H[i] = h(i/n)`` and ``A2[i] = (A2 at i/n)`` for i = 0..n,
+    and the cell increments ``dH = np.diff(H)``.
 
     ``A2(u) = u - Phi^{-1}(u) h(u)`` is the antiderivative of the squared
     quantile, with ``A2(0) = 0`` and ``A2(1) = 1``.  The upper half of each
@@ -160,9 +172,10 @@ def _boundary_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     H = np.where(interior, np.exp(-0.5 * x * x) / _SQRT_2PI, 0.0)
     A2_low = np.where(interior, u_low - x * H, 0.0)
     A2 = np.where(i * 2 <= n, A2_low, 1.0 - A2_low)
-    H.flags.writeable = False
-    A2.flags.writeable = False
-    return H, A2
+    dH = np.diff(H)
+    for table in (H, A2, dH):
+        table.flags.writeable = False
+    return H, A2, dH
 
 
 def _h_at(u: float) -> float:
@@ -233,17 +246,20 @@ def w2sq_vs_gaussian(s: SortedSample, ref: GaussianReference = STANDARD) -> floa
     standard reference this reduces to
     ``mean(Z^2) + 2 sum_i Z_i (H_i - H_{i-1}) + 1``.
     """
-    z = s.values
-    n = s.n
-    H, _ = _boundary_tables(n)
-    dH = np.diff(H)
+    return _w2sq_sorted(s.values, _boundary_tables(s.n)[2], ref.mu, ref.sigma)
+
+
+def _w2sq_sorted(z: np.ndarray, dH: np.ndarray, mu: float = 0.0,
+                 sigma: float = 1.0) -> float:
+    """The kernel of :func:`w2sq_vs_gaussian` on a sorted, finite 1-d row."""
+    n = z.size
     mean_sq = float(z @ z) / n
     cross = float(z @ dH)
-    mean_z = float(np.sum(z)) / n
+    mean_z = float(np.sum(z)) / n if mu else 0.0  # mu = 0 drops the term
     val = (mean_sq
-           - 2.0 * ref.mu * mean_z
-           + 2.0 * ref.sigma * cross
-           + ref.mu * ref.mu + ref.sigma * ref.sigma)
+           - 2.0 * mu * mean_z
+           + 2.0 * sigma * cross
+           + mu * mu + sigma * sigma)
     return max(0.0, val)
 
 
@@ -255,8 +271,12 @@ def w2sq_two_sample(sx: SortedSample, sy: SortedSample) -> float:
     """
     if sx.n != sy.n:
         raise DomainError(f"sample sizes differ: {sx.n} != {sy.n}")
-    d = sx.values - sy.values
-    return float(d @ d) / sx.n
+    return _mean_sq(sx.values - sy.values)
+
+
+def _mean_sq(d: np.ndarray) -> float:
+    """``(1/n) sum_i d_i^2`` for the rank-wise gaps ``d`` of two sorted rows."""
+    return float(d @ d) / d.size
 
 
 # --------------------------------------------------------------------------
@@ -304,8 +324,8 @@ def tail_decomposition(s: SortedSample, C: float = 1.0, theta: float = 2.0,
     zn = float(z[-1])
 
     # closed-form integrals of every whole grid cell, from the cached tables
-    H, A2 = _boundary_tables(n)
-    cells = z * z / n + 2.0 * z * np.diff(H) + np.diff(A2)
+    _, A2, dH = _boundary_tables(n)
+    cells = z * z / n + 2.0 * z * dH + np.diff(A2)
 
     a_n = _cell_integral(zn, cut_a, 1.0)
     b_n = float(cells[-1]) - a_n       # rest of the top cell, exactly
@@ -373,8 +393,7 @@ def expected_one_sample_w2sq(n: int, n_exact_tail: int = 400) -> float:
     """
     if n < 1:
         raise DomainError("n >= 1 required")
-    H, _ = _boundary_tables(n)
-    dH = np.diff(H)
+    dH = _boundary_tables(n)[2]
     means = np.empty(n)
     lo = min(int(n_exact_tail), n // 2)
     for i in range(1, lo + 1):

@@ -3,13 +3,20 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from w2gauss import (DomainError, EXPERIMENTS, ExperimentConfig,
-                     run_experiment, run_one_sample, truncated_second_moment,
-                     write_outputs)
+from w2gauss import (DomainError, EXPERIMENTS, ExperimentConfig, SortedSample,
+                     correlated_normal_pairs, replicate_w2sq, run_experiment,
+                     run_one_sample, standard_normals, substream,
+                     truncated_second_moment, w2sq_two_sample,
+                     w2sq_vs_gaussian, write_outputs)
+from w2gauss import experiments, streams
 from w2gauss.cli import main
 
 
@@ -138,6 +145,131 @@ def test_expansions_and_integrals_and_moments_shapes():
     for r in rows:
         by_nk.setdefault((r["n"], r["k"]), set()).add(r["mc_mean"])
     assert all(len(v) == 1 for v in by_nk.values())
+
+
+# --------------------------------------------------------------------------
+# replication engine
+# --------------------------------------------------------------------------
+
+def _loop_w2sq(seed, domain, n, reps, rho=None):
+    """The per-replication loop that ``replicate_w2sq`` replaced."""
+    out = np.empty(reps)
+    for rep in range(reps):
+        g = substream(seed, domain, n, rep)
+        if rho is None:
+            z = np.sort(standard_normals(g, n))
+            out[rep] = w2sq_vs_gaussian(SortedSample(z))
+        else:
+            xs, ys = correlated_normal_pairs(g, n, rho)
+            out[rep] = w2sq_two_sample(SortedSample(np.sort(xs)),
+                                       SortedSample(np.sort(ys)))
+    return out
+
+
+@pytest.mark.parametrize("rho", [None, 0.6])
+@pytest.mark.parametrize("block_values, n", [
+    # a 1024-value block keeps block +- 1 replications cheap at n = 1;
+    # at n = 1500 (and at n = 70000 by default) every block is one row
+    (2 ** 10, 1), (2 ** 10, 64), (2 ** 10, 1500),
+    (experiments._BLOCK_VALUES, 64), (experiments._BLOCK_VALUES, 70000)])
+def test_replicate_w2sq_matches_per_replication_loop(monkeypatch, rho,
+                                                     block_values, n):
+    monkeypatch.setattr(experiments, "_BLOCK_VALUES", block_values)
+    rows = experiments._block_rows(n, rho is not None)
+    if n >= 1500:
+        assert rows == 1
+    for reps in sorted({1, rows - 1, rows + 1} - {0}):
+        want = _loop_w2sq(77, "two_sample", n, reps, rho).tobytes()
+        for workers in (1, 2, 3):
+            got = replicate_w2sq(77, "two_sample", n, reps, rho=rho,
+                                 workers=workers)
+            assert got.tobytes() == want, (reps, workers)
+
+
+class _UnsortedNumpy:
+    """``numpy`` as the engine sees it, with a ``sort`` that does not sort."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def sort(a, axis=-1):
+        return np.array(a)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_replicate_w2sq_checks_every_block(monkeypatch, workers):
+    # unsorted rows
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "np", _UnsortedNumpy())
+        with pytest.raises(DomainError, match="nondecreasing"):
+            replicate_w2sq(5, "generic", 16, 10, workers=workers)
+    # a NaN in the fourth row of the block
+    real_ndtri = streams.ndtri
+
+    def nan_ndtri(u, out=None):
+        res = real_ndtri(u, out=out)
+        res[..., 3, 7] = np.nan
+        return res
+
+    monkeypatch.setattr(streams, "ndtri", nan_ndtri)
+    with pytest.raises(DomainError, match="finite"):
+        replicate_w2sq(5, "generic", 16, 10, workers=workers)
+
+
+def test_replicate_w2sq_bounds_its_threads(monkeypatch):
+    pool_sizes = []
+    peak_threads = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers)
+
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            peak_threads.append(threading.active_count())
+            return future
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "_BLOCK_VALUES", 64)  # 4 rows at n = 16
+    before = threading.active_count()
+    replicate_w2sq(5, "generic", 16, 1, workers=8)     # one block
+    replicate_w2sq(5, "generic", 16, 12, workers=8)    # three blocks
+    replicate_w2sq(5, "generic", 16, 12, workers=1)    # no pool
+    assert pool_sizes == [1, 3]
+    assert max(peak_threads) <= before + 3
+
+
+def test_replicate_w2sq_validation():
+    for kwargs in (dict(n=0), dict(reps=0), dict(workers=0), dict(rho=1.0),
+                   dict(rho=float("nan")), dict(domain="nope")):
+        args = dict(seed=1, domain="generic", n=8, reps=2) | kwargs
+        with pytest.raises(DomainError):
+            replicate_w2sq(**args)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="needs two CPUs for two BLAS threads")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "OpenBLAS splits the dot products z @ z and z @ dH of the one-sample "
+    "kernel across its threads above n = 1e4, so their last bits depend "
+    "on OPENBLAS_NUM_THREADS; the BLAS-free kernel reductions of ROADMAP "
+    "item 3 fix this"))
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        subprocess.run(
+            [sys.executable, "-m", "w2gauss.cli", "one-sample", "--n",
+             "100000", "--reps", "2", "--seed", "7", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300)
+        bodies.append((out / "one_sample.csv").read_bytes())
+    assert bodies[0] == bodies[1]
 
 
 # --------------------------------------------------------------------------
