@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import betainc, ndtri
 
 from .errors import DomainError
+from .special import _LOG_4PI, std_normal_cdf
 from .streams import substream
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
 
 GAMMA0 = 0.5772156649015328606
 _PI2_6 = math.pi * math.pi / 6.0
-_LOG_4PI = math.log(4.0 * math.pi)
 
 VARIANTS = ("as_stated", "shifted")
 
@@ -156,15 +156,10 @@ def extreme_mean(n: int, k: int, variant: str = "shifted", *,
     mean = math.sqrt(2.0 * L) - (LL + 2.0 * (s.s1 - GAMMA0) + _LOG_4PI) \
         / math.sqrt(8.0 * L)
     return ExtremeMoment(
-        n=n, k=k, mean_pred=mean, var_pred=_var_value(L, idx),
+        n=n, k=k, mean_pred=mean, var_pred=(_PI2_6 - s.s2) / (2.0 * L),
         mean_error_order=LL * LL / L ** 1.5,
         var_error_order=1.0 / (L * L),
         index_variant=variant)
-
-
-def _var_value(L: float, idx: int) -> float:
-    s = harmonic_sums(idx)
-    return (_PI2_6 - s.s2) / (2.0 * L)
 
 
 def extreme_var(n: int, k: int, variant: str = "shifted", *,
@@ -209,7 +204,6 @@ def order_stat_cdf(x, n: int, k: int):
     Expressed through the regularized incomplete Beta function (the
     binomial upper-tail identity); used to validate the Beta sampler.
     """
-    from .special import std_normal_cdf
     if n < 1 or k < 0 or k > n - 1:
         raise DomainError(f"need 1 <= k+1 <= n, got n={n}, k={k}")
     p = np.asarray(std_normal_cdf(x), dtype=float)

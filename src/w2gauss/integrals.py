@@ -34,8 +34,9 @@ from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from .errors import DivergenceError, DomainError, QuadratureError
-from .special import (_bvnu_scalar, as_correlation, copula_diagonal_gap,
-                      density_quantile_h)
+from .extremes import GAMMA0
+from .special import (_LOG_2PI, _LOG_4PI, _bvnu_scalar, as_correlation,
+                      copula_diagonal_gap, density_quantile_h)
 
 __all__ = [
     "SingularIntegralResult",
@@ -51,8 +52,6 @@ __all__ = [
     "DELTA_FLOOR",
 ]
 
-_LOG_2PI = math.log(2.0 * math.pi)
-GAMMA0 = 0.5772156649015328606
 LOG2_PLUS_GAMMA0 = math.log(2.0) + GAMMA0
 
 T_HALF = math.log(math.log(2.0))  # t at u = 1/2
@@ -258,7 +257,7 @@ def _second_moment_integrand_t(t: float, rho: float) -> float:
     L = math.exp(t)
     if L > 700.0:
         q = 0.0
-        x = math.sqrt(max(0.0, 2.0 * L - math.log(L) - math.log(4 * math.pi)))
+        x = math.sqrt(max(0.0, 2.0 * L - math.log(L) - _LOG_4PI))
     else:
         q = math.exp(-L)
         x = -float(ndtri(q))

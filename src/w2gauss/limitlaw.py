@@ -32,6 +32,7 @@ from scipy.special import ndtri
 
 from .errors import CovarianceError, DomainError
 from .integrals import DELTA_FLOOR, truncated_second_moment
+# _bvnu_scalar is unused here but stays bound: perfbench/tracer.py rebinds it
 from .special import (Correlation, _bvnu_scalar, _bvnu_vec, as_correlation,
                       copula_diagonal_gap, density_quantile_h)
 from .streams import correlated_normal_pairs, standard_normals, substream
@@ -202,32 +203,23 @@ def build_grid(m: int, delta: float) -> GridSpec:
 def _copula_matrix(nodes: np.ndarray, rho: float) -> np.ndarray:
     """``C_rho(u_i, u_j)`` on the grid, via the survival identity.
 
-    For ``u + v > 1`` the copula is evaluated as ``u + v - 1 +
-    P(X > x_u, Y > x_v)``, keeping the computed quantity the small joint
-    tail rather than a difference of near-unit terms.
+    Each pair ``i <= j`` is evaluated once and mirrored.  For ``u + v > 1``
+    the copula is evaluated as ``u + v - 1 + P(X > x_u, Y > x_v)``, keeping
+    the computed quantity the small joint tail rather than a difference of
+    near-unit terms.
     """
     x = ndtri(nodes)
-    U, V = np.meshgrid(nodes, nodes, indexing="ij")
-    XU, XV = np.meshgrid(x, x, indexing="ij")
-    upper = U + V > 1.0
-    if abs(rho) < 0.925:
-        direct = _bvnu_vec(-XU, -XV, rho)
-        survival = U + V - 1.0 + _bvnu_vec(XU, XV, rho)
-    else:
-        n = nodes.size
-        direct = np.empty((n, n))
-        survival = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                direct[i, j] = direct[j, i] = _bvnu_scalar(
-                    -x[i], -x[j], rho)
-                survival[i, j] = survival[j, i] = (
-                    nodes[i] + nodes[j] - 1.0
-                    + _bvnu_scalar(x[i], x[j], rho))
-    C = np.where(upper, survival, direct)
-    lo = np.maximum(U + V - 1.0, 0.0)
-    hi = np.minimum(U, V)
-    return np.clip(C, lo, hi)
+    i, j = np.triu_indices(nodes.size)
+    u, v = nodes[i], nodes[j]
+    upper = u + v > 1.0
+    # below the anti-diagonal C is the upper tail at (-x_u, -x_v)
+    sign = np.where(upper, 1.0, -1.0)
+    c = np.where(upper, u + v - 1.0, 0.0) \
+        + _bvnu_vec(sign * x[i], sign * x[j], rho)
+    C = np.empty((nodes.size, nodes.size))
+    C[i, j] = C[j, i] = np.clip(c, np.maximum(u + v - 1.0, 0.0),
+                                np.minimum(u, v))
+    return C
 
 
 def bridge_covariance(grid: GridSpec, rho) -> np.ndarray:
@@ -355,9 +347,7 @@ def expected_functional(grid: GridSpec, rho) -> float:
     trapezoidal functional is the same trapezoidal rule applied to
     ``2 (u - C_rho(u,u))/h^2`` — exact up to the covariance jitter.
     """
-    corr = as_correlation(rho)
-    gap = np.array([copula_diagonal_gap(float(u), corr)
-                    for u in grid.nodes])
+    gap = copula_diagonal_gap(grid.nodes, rho)
     h = np.asarray(density_quantile_h(grid.nodes))
     return float(np.trapezoid(2.0 * gap / h ** 2, x=grid.nodes))
 

@@ -354,75 +354,26 @@ def _gl_rule(r: float):
     return _W20, _X20
 
 
-def _bvnu_scalar(dh: float, dk: float, r: float) -> float:
-    """Upper-tail probability P(X > dh, Y > dk), correlation r; |r| < 1."""
-    if math.isinf(dh) and dh > 0 or math.isinf(dk) and dk > 0:
-        return 0.0
-    if math.isinf(dh):
-        return float(ndtr(-dk))
-    if math.isinf(dk):
-        return float(ndtr(-dh))
-    w, x = _gl_rule(r)
-    h = dh
-    k = dk
-    hk = h * k
-    bvn = 0.0
-    if abs(r) < 0.925:
-        hs = (h * h + k * k) / 2
-        asr = math.asin(r)
-        sn1 = np.sin(asr * (1 - x) / 2)
-        sn2 = np.sin(asr * (1 + x) / 2)
-        bvn = float(np.sum(w * np.exp((sn1 * hk - hs) / (1 - sn1 * sn1))))
-        bvn += float(np.sum(w * np.exp((sn2 * hk - hs) / (1 - sn2 * sn2))))
-        bvn = bvn * asr / (4 * math.pi) + float(ndtr(-h)) * float(ndtr(-k))
-    else:
-        twopi = 2 * math.pi
-        if r < 0:
-            k = -k
-            hk = -hk
-        aas = (1 - r) * (1 + r)
-        a = math.sqrt(aas)
-        bs = (h - k) ** 2
-        c = (4 - hk) / 8
-        d = (12 - hk) / 16
-        asr = -(bs / aas + hk) / 2
-        if asr > -100:
-            bvn = a * math.exp(asr) * (1 - c * (bs - aas) * (1 - d * bs / 5) / 3
-                                       + c * d * aas * aas / 5)
-        if -hk < 100:
-            b = math.sqrt(bs)
-            sp = math.sqrt(twopi) * float(ndtr(-b / a))
-            bvn = bvn - math.exp(-hk / 2) * sp * b * (1 - c * bs * (1 - d * bs / 5) / 3)
-        a = a / 2
-        for i in range(len(w)):
-            for sgn in (-1.0, 1.0):
-                xs = (a * (sgn * x[i] + 1)) ** 2
-                rs = math.sqrt(1 - xs)
-                asr = -(bs / xs + hk) / 2
-                if asr > -100:
-                    sp = 1 + c * xs * (1 + d * xs)
-                    ep = math.exp(-hk * (1 - rs) / (2 * (1 + rs))) / rs
-                    bvn = bvn + a * w[i] * math.exp(asr) * (ep - sp)
-        bvn = -bvn / twopi
-        if r > 0:
-            bvn = bvn + float(ndtr(-max(h, k)))
-        else:
-            bvn = -bvn + max(0.0, float(ndtr(-h)) - float(ndtr(-k)))
-    return max(0.0, min(1.0, bvn))
-
-
 def _bvnu_vec(h, k, r: float):
-    """Vectorised upper-tail probability over array arguments, scalar r.
+    """Upper-tail probability ``P(X > h, Y > k)`` at correlation ``|r| < 1``.
 
-    Used to assemble covariance matrices; agrees with the scalar routine
-    to machine precision because it evaluates the identical quadrature.
+    ``h`` and ``k`` broadcast against each other.  This is the package's
+    one bivariate-normal quadrature: for ``|r| < 0.925`` it integrates
+    Plackett's identity over ``asin(r)``, above that it expands about the
+    degenerate ``|r| = 1`` law.  An infinite argument gives the closed
+    form ``0``, ``Phi(-k)`` or ``Phi(-h)``.
     """
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    h, k = np.broadcast_arrays(h, k)
+    h, k = np.broadcast_arrays(np.asarray(h, dtype=float),
+                               np.asarray(k, dtype=float))
+    finite = np.isfinite(h) & np.isfinite(k)
+    if not finite.all():
+        out = np.where((h == np.inf) | (k == np.inf), 0.0,
+                       np.where(h == -np.inf, ndtr(-k), ndtr(-h)))
+        out[finite] = _bvnu_vec(h[finite], k[finite], r)
+        return out
     w, x = _gl_rule(r)
+    hk = h * k
     if abs(r) < 0.925:
-        hk = h * k
         hs = (h * h + k * k) / 2
         asr = math.asin(r)
         sn1 = np.sin(asr * (1 - x) / 2)
@@ -432,11 +383,47 @@ def _bvnu_vec(h, k, r: float):
             acc += wi * np.exp((sn * hk - hs) / (1 - sn * sn))
         out = acc * asr / (4 * math.pi) + ndtr(-h) * ndtr(-k)
         return np.clip(out, 0.0, 1.0)
-    # high-correlation branch: fall back to the scalar routine elementwise
-    flat_h = h.ravel()
-    flat_k = k.ravel()
-    out = np.array([_bvnu_scalar(a, b, r) for a, b in zip(flat_h, flat_k)])
-    return out.reshape(h.shape)
+    twopi = 2 * math.pi
+    if r < 0:
+        k = -k
+        hk = -hk
+    aas = (1 - r) * (1 + r)
+    a = math.sqrt(aas)
+    bs = np.square(h - k)  # a ufunc, so 0-d and n-d inputs round alike
+    c = (4 - hk) / 8
+    d = (12 - hk) / 16
+    # each term counts only where its exponent guard holds; elsewhere it
+    # may overflow, and np.where discards it
+    with np.errstate(over="ignore", invalid="ignore"):
+        asr = -(bs / aas + hk) / 2
+        bvn = np.where(asr > -100,
+                       a * np.exp(asr) * (1 - c * (bs - aas) * (1 - d * bs / 5)
+                                          / 3 + c * d * aas * aas / 5), 0.0)
+        b = np.sqrt(bs)
+        sp = math.sqrt(twopi) * ndtr(-b / a)
+        bvn = np.where(-hk < 100, bvn - np.exp(-hk / 2) * sp * b
+                       * (1 - c * bs * (1 - d * bs / 5) / 3), bvn)
+        a = a / 2
+        for wi, xi in zip(w, x):
+            for sgn in (-1.0, 1.0):
+                xs = (a * (sgn * xi + 1)) ** 2
+                rs = math.sqrt(1 - xs)
+                asr = -(bs / xs + hk) / 2
+                sp = 1 + c * xs * (1 + d * xs)
+                ep = np.exp(-hk * (1 - rs) / (2 * (1 + rs))) / rs
+                bvn = np.where(asr > -100,
+                               bvn + a * wi * np.exp(asr) * (ep - sp), bvn)
+    bvn = -bvn / twopi
+    if r > 0:
+        bvn = bvn + ndtr(-np.maximum(h, k))
+    else:
+        bvn = -bvn + np.maximum(0.0, ndtr(-h) - ndtr(-k))
+    return np.clip(bvn, 0.0, 1.0)
+
+
+def _bvnu_scalar(dh: float, dk: float, r: float) -> float:
+    """Scalar form of :func:`_bvnu_vec`."""
+    return float(_bvnu_vec(dh, dk, r))
 
 
 def bivariate_normal_survival(x, y, rho) -> float:
@@ -483,7 +470,7 @@ def gaussian_copula(u, v, rho) -> float:
     return min(max(c, 0.0), min(uf, vf))
 
 
-def copula_diagonal_gap(u, rho) -> float:
+def copula_diagonal_gap(u, rho):
     """Cancellation-free diagonal gap ``u - C_rho(u, u)``.
 
     For ``u >= 1/2`` this equals ``(1-u) - P(X > x, Y > x)`` and for
@@ -493,10 +480,8 @@ def copula_diagonal_gap(u, rho) -> float:
     symmetric under ``u <-> 1-u``.
     """
     corr = as_correlation(rho)
-    uf = float(_as_unit_prob_array(u, "copula_diagonal_gap: u"))
-    if uf >= 0.5:
-        q = 1.0 - uf
-        x = -float(ndtri(q))
-        return max(0.0, q - _bvnu_scalar(x, x, corr.rho))
-    x = float(ndtri(uf))
-    return max(0.0, uf - _bvnu_scalar(-x, -x, corr.rho))
+    arr = _as_unit_prob_array(u, "copula_diagonal_gap: u")
+    q = np.where(arr >= 0.5, 1.0 - arr, arr)
+    x = -ndtri(q)
+    gap = np.maximum(0.0, q - _bvnu_vec(x, x, corr.rho))
+    return _scalar_or_array(gap, u)

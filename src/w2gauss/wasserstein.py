@@ -31,7 +31,8 @@ from scipy import integrate
 from scipy.special import betaln, ndtr, ndtri
 
 from .errors import DomainError
-from .special import std_normal_pdf, std_normal_quantile
+from .special import (_LOG_2PI, _SQRT_2PI, std_normal_pdf,
+                      std_normal_quantile)
 
 __all__ = [
     "GaussianReference",
@@ -44,9 +45,6 @@ __all__ = [
     "tail_decomposition",
     "expected_one_sample_w2sq",
 ]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LOG_2PI = math.log(2.0 * math.pi)
 
 STANDARD = None  # sentinel replaced below once GaussianReference exists
 

@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from w2gauss import (BridgePair, Correlation, DomainError, GridSpec,
                      MECHANISMS, bridge_covariance, build_grid,
-                     density_quantile_h, expected_functional, g_functional,
+                     copula_diagonal_gap, density_quantile_h,
+                     expected_functional, g_functional,
                      gaussian_copula, ks_two_sample, sample_limit_law,
                      simulate_bridge_pair_coupled,
                      simulate_bridge_pair_gaussian, truncated_second_moment,
                      truncation_bias)
-from w2gauss.limitlaw import _gaussian_rows
+from w2gauss.limitlaw import _copula_matrix, _gaussian_rows
+from w2gauss.special import _bvnu_vec
 
 
 # --------------------------------------------------------------------------
@@ -91,18 +94,39 @@ def test_gaussian_mechanism_marginal_variance():
         assert abs(got - want) < 5.0 * se
 
 
-def test_bridge_covariance_blocks():
+@pytest.mark.parametrize("rho", [0.45, 0.95, -0.95])
+def test_bridge_covariance_blocks(rho):
     grid = build_grid(16, 1e-2)
-    rho = 0.45
     sigma = bridge_covariance(grid, rho)
     m = grid.m
     u = grid.nodes
     # diagonal block: min(u,v) - uv; cross block: C_rho(u,v) - uv
     assert sigma[2, 5] == pytest.approx(min(u[2], u[5]) - u[2] * u[5],
                                         rel=1e-12)
-    assert sigma[3, m + 7] == pytest.approx(
-        gaussian_copula(u[3], u[7], rho) - u[3] * u[7], rel=1e-9, abs=1e-12)
+    for i in range(m):
+        for j in range(m):
+            assert sigma[i, m + j] == pytest.approx(
+                gaussian_copula(u[i], u[j], rho) - u[i] * u[j],
+                rel=1e-9, abs=1e-12)
     assert np.allclose(sigma, sigma.T, atol=1e-15)
+
+
+def _copula_matrix_full_grid(nodes, rho):
+    """Reference: both forms on all m^2 cells, then one kept per cell."""
+    x = ndtri(nodes)
+    U, V = np.meshgrid(nodes, nodes, indexing="ij")
+    XU, XV = np.meshgrid(x, x, indexing="ij")
+    direct = _bvnu_vec(-XU, -XV, rho)
+    survival = U + V - 1.0 + _bvnu_vec(XU, XV, rho)
+    C = np.where(U + V > 1.0, survival, direct)
+    return np.clip(C, np.maximum(U + V - 1.0, 0.0), np.minimum(U, V))
+
+
+@pytest.mark.parametrize("rho", [0.6, -0.5])
+def test_copula_matrix_matches_full_grid_construction(rho):
+    nodes = build_grid(512, 1.25e-5).nodes
+    got = _copula_matrix(nodes, rho)
+    assert got.tobytes() == _copula_matrix_full_grid(nodes, rho).tobytes()
 
 
 def test_rho_near_one_bridges_coincide():
@@ -184,6 +208,15 @@ def test_expected_functional_matches_quadrature_moment():
     want = truncated_second_moment(0.6, 1.25e-5).value
     got = expected_functional(grid, 0.6)
     assert got == pytest.approx(want, rel=5e-3)
+
+
+@pytest.mark.parametrize("rho", [0.6, -0.5, 0.95])
+def test_expected_functional_matches_per_node_loop(rho):
+    grid = build_grid(512, 1.25e-5)
+    gap = np.array([copula_diagonal_gap(float(u), rho) for u in grid.nodes])
+    h = np.asarray(density_quantile_h(grid.nodes))
+    want = float(np.trapezoid(2.0 * gap / h ** 2, x=grid.nodes))
+    assert expected_functional(grid, rho) == want
 
 
 def test_sample_mean_matches_expected_functional():

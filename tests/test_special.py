@@ -1,7 +1,9 @@
 """Gaussian special functions: values, expansions, and their limits."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from w2gauss import (Correlation, DomainError, UnitProb, as_correlation,
                      quantile_tail_expansion, quantile_tail_expansion_groupings,
                      scaled_tail, std_normal_cdf, std_normal_pdf,
                      std_normal_quantile, std_normal_sf)
+from w2gauss.special import _bvnu_scalar, _bvnu_vec
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -296,12 +299,81 @@ def test_copula_diagonal_monotone_in_rho():
 
 
 def test_copula_diagonal_gap_matches_direct():
+    us = (0.2, 0.5, 0.9, 1.0 - 1e-6)
     for rho in (-0.5, 0.0, 0.6):
-        for u in (0.2, 0.5, 0.9, 1.0 - 1e-6):
+        for u in us:
             gap = copula_diagonal_gap(u, rho)
             direct = u - gaussian_copula(u, u, rho)
             assert gap == pytest.approx(direct, rel=1e-9, abs=1e-15)
             assert gap >= 0.0
+        # the array form broadcasts to the same values
+        assert copula_diagonal_gap(np.array(us), rho).tolist() == \
+            [copula_diagonal_gap(u, rho) for u in us]
+
+
+# --------------------------------------------------------------------------
+# the bivariate-normal evaluator against a 30-digit oracle
+# --------------------------------------------------------------------------
+
+_ORACLE_RHOS = (-0.99, -0.95, -0.93, -0.8, 0.0, 0.3, 0.6, 0.93, 0.95, 0.99)
+
+
+def _bvn_upper_mp(h: float, k: float, rho: float) -> float:
+    """``P(X > h, Y > k) = int_h^inf phi(x) Phi((rho x - k)/s) dx``, 30 digits.
+
+    ``s = sqrt(1 - rho^2)``; the integrand turns from ~0 to ~phi(x) around
+    ``x = k/rho``, which is made a breakpoint when it lies above ``h``.
+    """
+    with mpmath.workdps(30):
+        h, k, rho = mpmath.mpf(h), mpmath.mpf(k), mpmath.mpf(rho)
+        s = mpmath.sqrt(1 - rho * rho)
+        points = [h, mpmath.inf]
+        if rho != 0 and k / rho > h:
+            points.insert(1, k / rho)
+        return float(mpmath.quad(
+            lambda x: mpmath.npdf(x) * mpmath.ncdf((rho * x - k) / s),
+            points))
+
+
+@pytest.mark.parametrize("rho", _ORACLE_RHOS)
+def test_bvn_matches_mpmath_oracle(rho):
+    rng = np.random.default_rng(2004)
+    h, k = rng.uniform(-6.0, 6.0, size=(2, 12))
+    h = np.concatenate([h, [-1.5, 0.0, 2.5]])   # and three diagonal points
+    k = np.concatenate([k, [-1.5, 0.0, 2.5]])
+    got = _bvnu_vec(h, k, rho)
+    want = np.array([_bvn_upper_mp(a, b, rho) for a, b in zip(h, k)])
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert [_bvnu_scalar(a, b, rho) for a, b in zip(h, k)] == got.tolist()
+
+
+def test_bvn_infinite_arguments_give_closed_forms():
+    inf = math.inf
+    for rho in (-0.95, -0.5, 0.0, 0.6, 0.95):
+        for t in (-2.0, 0.3, 5.0):
+            assert _bvnu_scalar(inf, t, rho) == 0.0
+            assert _bvnu_scalar(t, inf, rho) == 0.0
+            assert _bvnu_scalar(-inf, t, rho) == std_normal_sf(t)
+            assert _bvnu_scalar(t, -inf, rho) == std_normal_sf(t)
+        assert _bvnu_scalar(-inf, -inf, rho) == 1.0
+        assert _bvnu_scalar(inf, -inf, rho) == 0.0
+        # finite entries of a mixed array equal their own finite call
+        out = _bvnu_vec([0.3, inf, -inf, 1.2], [-0.4, 0.0, 2.0, -inf], rho)
+        assert out.tolist() == [_bvnu_scalar(0.3, -0.4, rho), 0.0,
+                                std_normal_sf(2.0), std_normal_sf(1.2)]
+
+
+def test_bvn_far_tail_arguments_raise_no_float_warnings():
+    t = np.linspace(-40.0, 40.0, 81)
+    h, k = np.meshgrid(t, t)
+    with warnings.catch_warnings(), \
+            np.errstate(over="warn", invalid="warn", divide="warn"):
+        warnings.simplefilter("error")
+        for rho in _ORACLE_RHOS:
+            out = _bvnu_vec(h, k, rho)
+            assert np.all((out >= 0.0) & (out <= 1.0))
+            for a, b in ((40.0, -40.0), (-40.0, 40.0), (-40.0, -40.0)):
+                assert 0.0 <= _bvnu_scalar(a, b, rho) <= 1.0
 
 
 def test_mills_ratio_bound():
