@@ -72,9 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m-sample", dest="m_sample", type=int, default=None,
                        help="empirical-coupling sample size")
         p.add_argument("--C", type=float, default=None,
-                       help="tail-decomposition constant C")
+                       help="constant C of d1n's cut K = floor(C (log n)"
+                            "^theta) in the integrals runner")
         p.add_argument("--theta", type=float, default=None,
-                       help="tail-decomposition exponent theta in (1, 2]")
+                       help="exponent theta in (1, 2] of d1n's cut in the "
+                            "integrals runner")
         p.add_argument("--gamma", type=float, default=None,
                        help="tail-decomposition exponent gamma > 1")
         p.add_argument("--divergence-demo", dest="divergence_demo",

@@ -399,9 +399,10 @@ def run_integrals(cfg: ExperimentConfig) -> dict[str, list[dict]]:
         add("d1n", n, d1n(n, C=cfg.C, theta=cfg.theta))
     rho = float(cfg.rho) if cfg.rho is not None else 0.6
     table = second_moment_windows(rho)
-    for dlt, val in zip(table["deltas"], table["values"]):
-        add("truncated_second_moment", rho,
-            truncated_second_moment(rho, dlt))
+    for dlt, val, err, neval in zip(table["deltas"], table["values"],
+                                    table["errors"], table["evaluations"]):
+        add("truncated_second_moment", rho, value=val, centered_or_ratio=dlt,
+            error_estimate=err, evaluations=neval)
     add("limit_second_moment", rho, value=math.inf,
         centered_or_ratio=table["slopes"][-1])
     return {"integrals": rows}

@@ -15,18 +15,21 @@ Provided integrals:
   ``K = floor(C (log n)^theta)``,
 * ``truncated_second_moment``: ``M(rho, delta) = 2 int_delta^{1-delta}
   (u - C_rho(u,u))/h^2 du`` for the coupled-bridge functional,
-* ``limit_second_moment``: the delta -> 0 limit of the above.  Measured
-  over shrinking truncation windows, the truncated values grow by ~2 per
-  unit of ``log log (1/delta)`` for *every* admissible rho — the
+* ``second_moment_windows``: ``M(rho, delta)`` over a ladder of shrinking
+  truncations, each window integrated once and certified by the same
+  quadrature as ``truncated_second_moment``,
+* ``limit_second_moment``: the delta -> 0 limit of the above, which does
+  not exist.  Over the certified windows the truncated values grow by ~2
+  per unit of ``log log (1/delta)`` for *every* admissible rho — the
   asymptotic independence of the Gaussian tails makes the diagonal gap of
-  order ``(1-u)``, not ``o(1-u)`` — so the operation raises
-  :class:`~w2gauss.errors.DivergenceError` carrying the window table
-  rather than certify a finite value.
+  order ``(1-u)``, not ``o(1-u)`` — so the function always raises
+  :class:`~w2gauss.errors.DivergenceError` carrying the window table.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -59,9 +62,6 @@ DELTA_FLOOR = 1e-250  # below this 1-u is not resolvable in double precision
 
 # window edges used by the divergence probe (truncation delta per window)
 _WINDOW_DELTAS = (1e-4, 1e-8, 1e-16, 1e-32, 1e-64, 1e-128, 1e-250)
-# a convergent tail must have its per-unit-t growth die out; the measured
-# slope for this family approaches 2, so the cutoff is far from marginal
-_SLOPE_TOL = 0.05
 
 
 @dataclasses.dataclass(frozen=True)
@@ -265,6 +265,23 @@ def _second_moment_integrand_t(t: float, rho: float) -> float:
     return (1.0 - r) * math.exp(_log_weight_t(t, L, x))
 
 
+def _second_moment_quad(rho: float, t_lo: float, t_hi: float,
+                        what: str) -> tuple[float, float, int]:
+    """Four times the one-tail integrand's integral over ``[t_lo, t_hi]``.
+
+    The one quadrature behind ``M(rho, .)``: returns the value, its
+    absolute error estimate and the evaluation count, or raises
+    :class:`QuadratureError` when the estimate misses its target.
+    """
+    value, err, info = integrate.quad(
+        _second_moment_integrand_t, t_lo, t_hi, args=(rho,),
+        full_output=True, epsabs=1e-12, epsrel=1e-9, limit=400)[:3]
+    value *= 4.0
+    err *= 4.0
+    neval = _certify(value, err, info, what, rel=1e-8, abs_=1e-11)
+    return value, err, neval
+
+
 def truncated_second_moment(rho, delta: float) -> SingularIntegralResult:
     """``M(rho, delta) = 2 int_delta^{1-delta} (u - C_rho(u,u))/h^2 du``.
 
@@ -276,81 +293,69 @@ def truncated_second_moment(rho, delta: float) -> SingularIntegralResult:
     if not (DELTA_FLOOR <= delta < 0.25):
         raise DomainError(
             f"delta must lie in [{DELTA_FLOOR:g}, 0.25), got {delta!r}")
-    value, err, info = integrate.quad(
-        _second_moment_integrand_t, T_HALF, _t_of(delta), args=(corr.rho,),
-        full_output=True, epsabs=1e-12, epsrel=1e-9, limit=400)[:3]
-    value *= 4.0
-    err *= 4.0
-    neval = _certify(value, err, info, "truncated_second_moment",
-                     rel=1e-8, abs_=1e-11)
+    value, err, neval = _second_moment_quad(
+        corr.rho, T_HALF, _t_of(delta), "truncated_second_moment")
     return SingularIntegralResult(
         value=value, abs_error_estimate=err, evaluations=neval,
         lower=delta, upper=1.0 - delta, centered_or_ratio=delta)
 
 
 def second_moment_windows(rho, deltas: tuple[float, ...] = _WINDOW_DELTAS):
-    """Truncated second moments over shrinking windows with growth slopes.
+    """Certified truncated second moments over shrinking windows.
 
-    Returns a dict with ``deltas``, cumulative ``values`` of
-    ``M(rho, delta)``, and the per-window ``slopes`` dM/dt on the
-    ``t = log log(1/delta)`` scale.  A finite limit requires the slopes to
-    die out; slopes near 2 witness ``M ~ 2 log log (1/delta)`` growth.
+    Each window between consecutive truncation points is integrated once
+    and certified like :func:`truncated_second_moment`.  Returns a dict
+    with ``deltas``; the cumulative ``values`` of ``M(rho, delta)``, with
+    their cumulative ``errors`` (absolute error estimates) and
+    ``evaluations``; and the per-window ``slopes`` dM/dt on the
+    ``t = log log(1/delta)`` scale.  A finite limit requires the slopes
+    to die out; slopes near 2 witness ``M ~ 2 log log (1/delta)`` growth.
     """
     corr = as_correlation(rho)
     edges = [T_HALF] + [_t_of(d) for d in deltas]
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise DomainError("window deltas must be strictly decreasing")
-    total = 0.0
-    values = []
-    slopes = []
-    for a, b in zip(edges, edges[1:]):
-        inc, _ = integrate.quad(
-            _second_moment_integrand_t, a, b, args=(corr.rho,),
-            epsabs=1e-12, epsrel=1e-9, limit=400)
-        total += inc
-        values.append(4.0 * total)
-        slopes.append(4.0 * inc / (b - a))
-    return {"rho": corr.rho, "deltas": list(deltas), "values": values,
-            "slopes": slopes}
+    windows = list(zip(edges, edges[1:]))
+    incs, errs, nevals = zip(*(
+        _second_moment_quad(corr.rho, a, b, "second_moment_windows")
+        for a, b in windows))
+    return {"rho": corr.rho, "deltas": list(deltas),
+            "values": list(itertools.accumulate(incs)),
+            "errors": list(itertools.accumulate(errs)),
+            "evaluations": list(itertools.accumulate(nevals)),
+            "slopes": [inc / (b - a) for inc, (a, b) in zip(incs, windows)]}
 
 
 def limit_second_moment(rho) -> SingularIntegralResult:
     """``2 int_0^1 (u - C_rho(u,u))/h^2 du`` — the coupled functional's mean.
 
-    The evaluation probes truncations shrinking to the double-precision
-    floor and requires the growth per unit of ``log log(1/delta)`` to die
-    out before certifying a value.  It never does: the Gaussian copula's
-    diagonal gap behaves like ``(1-u)`` for every |rho| < 1 (asymptotic
-    tail independence), making the integral ``+infinity`` for all
-    admissible rho, including every rho != 0.  The divergence is reported
-    via :class:`DivergenceError` with the window table attached; use
+    This integral is ``+infinity`` for every admissible rho, so the
+    function always raises :class:`DivergenceError`; it never returns.
+    The Gaussian copula's diagonal gap behaves like ``(1-u)`` for every
+    |rho| < 1 (asymptotic tail independence).  The error carries the
+    evidence: the certified window table of :func:`second_moment_windows`
+    down to the double-precision floor, whose growth per unit of
+    ``log log(1/delta)`` approaches 2.  Use
     :func:`truncated_second_moment` for the finite truncated family.
     """
     corr = as_correlation(rho)
     table = second_moment_windows(corr)
     last_slope = table["slopes"][-1]
-    if abs(last_slope) > _SLOPE_TOL:
-        if corr.zero_flag:
-            note = ("rho = 0: the gap is u(1-u) and the integral is the "
-                    "classical divergent variance integral, growing as "
-                    "2 log log(1/delta)")
-        else:
-            note = (f"rho = {corr.rho}: truncated values still grow at "
-                    f"{last_slope:.3f} per unit log log(1/delta) at "
-                    f"delta = {table['deltas'][-1]:g}; the diagonal gap "
-                    "(u - C_rho(u,u))/(1-u) tends to 1, so the integral "
-                    "diverges like 2 log log(1/delta)")
-        raise DivergenceError(
-            f"limit_second_moment diverges for rho = {corr.rho}",
-            diagnostics={"deltas": table["deltas"], "values": table["values"],
-                         "slopes": table["slopes"], "slope": last_slope,
-                         "note": note})
-    # reachable only if the window slopes genuinely die out
-    value = table["values"][-1]
-    return SingularIntegralResult(
-        value=value, abs_error_estimate=_SLOPE_TOL, evaluations=0,
-        lower=table["deltas"][-1], upper=1.0 - table["deltas"][-1],
-        centered_or_ratio=None)
+    if corr.zero_flag:
+        note = ("rho = 0: the gap is u(1-u) and the integral is the "
+                "classical divergent variance integral, growing as "
+                "2 log log(1/delta)")
+    else:
+        note = (f"rho = {corr.rho}: truncated values still grow at "
+                f"{last_slope:.3f} per unit log log(1/delta) at "
+                f"delta = {table['deltas'][-1]:g}; the diagonal gap "
+                "(u - C_rho(u,u))/(1-u) tends to 1, so the integral "
+                "diverges like 2 log log(1/delta)")
+    raise DivergenceError(
+        f"limit_second_moment diverges for rho = {corr.rho}",
+        diagnostics={"deltas": table["deltas"], "values": table["values"],
+                     "slopes": table["slopes"], "slope": last_slope,
+                     "note": note})
 
 
 def copula_diagonal_tail(rho, u) -> DiagonalTailDiagnostics:

@@ -31,8 +31,7 @@ from scipy import integrate
 from scipy.special import betaln, ndtr, ndtri
 
 from .errors import DomainError
-from .special import (_LOG_2PI, _SQRT_2PI, std_normal_pdf,
-                      std_normal_quantile)
+from .special import _LOG_2PI, _SQRT_2PI
 
 __all__ = [
     "GaussianReference",
@@ -150,6 +149,22 @@ class W2Decomposition:
 # antiderivative tables
 # --------------------------------------------------------------------------
 
+def _antiderivatives(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``h(q)`` and ``A2(q) = q - Phi^{-1}(q) h(q)`` at lower-tail
+    probabilities ``q`` in ``[0, 1/2]``, with exact zeros at ``q = 0``.
+
+    This is the one evaluator of both antiderivatives.  Callers mirror
+    the upper half themselves (``h(1-q) = h(q)``, ``A2(1-q) = 1 - A2(q)``),
+    so the symmetries are exact in floating point.
+    """
+    interior = q > 0
+    x = np.zeros(q.shape)
+    x[interior] = ndtri(q[interior])
+    H = np.where(interior, np.exp(-0.5 * x * x) / _SQRT_2PI, 0.0)
+    A2 = np.where(interior, q - x * H, 0.0)
+    return H, A2
+
+
 @functools.lru_cache(maxsize=8)
 def _boundary_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tables ``H[i] = h(i/n)`` and ``A2[i] = (A2 at i/n)`` for i = 0..n,
@@ -157,18 +172,10 @@ def _boundary_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     ``A2(u) = u - Phi^{-1}(u) h(u)`` is the antiderivative of the squared
     quantile, with ``A2(0) = 0`` and ``A2(1) = 1``.  The upper half of each
-    table is produced by mirroring the lower half (``h(1-u) = h(u)``,
-    ``A2(1-u) = 1 - A2(u)``), which makes the symmetries exact in floating
-    point.
+    table mirrors the lower half by index.
     """
     i = np.arange(0, n + 1)
-    lower = np.minimum(i, n - i)
-    u_low = lower / n
-    interior = u_low > 0
-    x = np.zeros(n + 1)
-    x[interior] = ndtri(u_low[interior])
-    H = np.where(interior, np.exp(-0.5 * x * x) / _SQRT_2PI, 0.0)
-    A2_low = np.where(interior, u_low - x * H, 0.0)
+    H, A2_low = _antiderivatives(np.minimum(i, n - i) / n)
     A2 = np.where(i * 2 <= n, A2_low, 1.0 - A2_low)
     dH = np.diff(H)
     for table in (H, A2, dH):
@@ -176,19 +183,11 @@ def _boundary_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return H, A2, dH
 
 
-def _h_at(u: float) -> float:
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
-    return float(std_normal_pdf(std_normal_quantile(u)))
-
-
-def _a2_at(u: float) -> float:
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    x = float(std_normal_quantile(u))
-    return u - x * float(std_normal_pdf(x))
+def _endpoint_antiderivatives(*u: float) -> tuple[np.ndarray, np.ndarray]:
+    """``h`` and ``A2`` at points ``u`` in ``[0, 1]``, mirrored about 1/2."""
+    u = np.array(u)
+    H, A2_low = _antiderivatives(np.minimum(u, 1.0 - u))
+    return H, np.where(u > 0.5, 1.0 - A2_low, A2_low)
 
 
 # --------------------------------------------------------------------------
@@ -212,7 +211,8 @@ def quantile_integral(a, b, ref: GaussianReference = STANDARD) -> float:
     a = float(a)
     b = float(b)
     _check_bounds(a, b)
-    return ref.mu * (b - a) + ref.sigma * (_h_at(a) - _h_at(b))
+    H, _ = _endpoint_antiderivatives(a, b)
+    return ref.mu * (b - a) + ref.sigma * float(H[0] - H[1])
 
 
 def quantile_sq_integral(a, b, ref: GaussianReference = STANDARD) -> float:
@@ -226,11 +226,10 @@ def quantile_sq_integral(a, b, ref: GaussianReference = STANDARD) -> float:
     b = float(b)
     _check_bounds(a, b)
 
-    def F(u: float) -> float:
-        return (ref.mu * ref.mu * u - 2.0 * ref.mu * ref.sigma * _h_at(u)
-                + ref.sigma * ref.sigma * _a2_at(u))
-
-    return F(b) - F(a)
+    H, A2 = _endpoint_antiderivatives(a, b)
+    F = (ref.mu * ref.mu * np.array([a, b]) - 2.0 * ref.mu * ref.sigma * H
+         + ref.sigma * ref.sigma * A2)
+    return float(F[1] - F[0])
 
 
 # --------------------------------------------------------------------------
@@ -283,8 +282,9 @@ def _mean_sq(d: np.ndarray) -> float:
 
 def _cell_integral(z: float, a: float, b: float) -> float:
     """``int_a^b (z - Phi^{-1}(u))^2 du`` for a constant step value z."""
-    i1 = _h_at(a) - _h_at(b)           # int Phi^{-1}
-    i2 = _a2_at(b) - _a2_at(a)         # int (Phi^{-1})^2
+    H, A2 = _endpoint_antiderivatives(a, b)
+    i1 = float(H[0] - H[1])            # int Phi^{-1}
+    i2 = float(A2[1] - A2[0])          # int (Phi^{-1})^2
     return z * z * (b - a) - 2.0 * z * i1 + i2
 
 

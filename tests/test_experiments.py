@@ -252,11 +252,19 @@ def test_replicate_w2sq_validation():
 @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                     reason="needs two CPUs for two BLAS threads")
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "OpenBLAS splits the dot products z @ z and z @ dH of the one-sample "
-    "kernel across its threads above n = 1e4, so their last bits depend "
-    "on OPENBLAS_NUM_THREADS; the BLAS-free kernel reductions of ROADMAP "
-    "item 3 fix this"))
-def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    "OpenBLAS splits work across its threads, so the last bits depend on "
+    "OPENBLAS_NUM_THREADS: above n = 1e4 in the one-sample kernel's dot "
+    "products z @ z and z @ dH (the BLAS-free kernel reductions of ROADMAP "
+    "item 3 fix this), and in the limit-law Cholesky factor, which moves "
+    "the gaussian_grid row of limit-compare (variance 1.955309597923444 "
+    "with 1 thread, 1.9553095979234456 with 2)"))
+@pytest.mark.parametrize("args, csv_name", [
+    (["one-sample", "--n", "100000", "--reps", "2", "--seed", "7"],
+     "one_sample.csv"),
+    (["limit-compare", "--rho", "0.6", "--m", "64", "--n", "2000", "--reps",
+      "60", "--delta", "1e-3", "--seed", "34"], "limit.csv"),
+], ids=["one_sample", "limit_compare"])
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, args, csv_name):
     src = os.path.dirname(os.path.dirname(experiments.__file__))
     bodies = []
     for threads in ("1", "2"):
@@ -265,10 +273,9 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
                    PYTHONPATH=os.pathsep.join(
                        p for p in (src, os.environ.get("PYTHONPATH")) if p))
         subprocess.run(
-            [sys.executable, "-m", "w2gauss.cli", "one-sample", "--n",
-             "100000", "--reps", "2", "--seed", "7", "--out", str(out)],
+            [sys.executable, "-m", "w2gauss.cli", *args, "--out", str(out)],
             env=env, check=True, capture_output=True, timeout=300)
-        bodies.append((out / "one_sample.csv").read_bytes())
+        bodies.append((out / csv_name).read_bytes())
     assert bodies[0] == bodies[1]
 
 

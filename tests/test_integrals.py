@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from w2gauss import (DivergenceError, DomainError, LOG2_PLUS_GAMMA0,
-                     QuadratureError, bickel_integral, copula_diagonal_tail,
-                     d1n, limit_second_moment, second_moment_windows,
+from w2gauss import (DivergenceError, DomainError, ExperimentConfig,
+                     LOG2_PLUS_GAMMA0, QuadratureError, bickel_integral,
+                     copula_diagonal_tail, d1n, limit_second_moment,
+                     run_experiment, second_moment_windows,
                      truncated_second_moment, variance_weight)
+from w2gauss import integrals
 
 LOGLOG = lambda n: math.log(math.log(n))
 
@@ -179,6 +181,54 @@ def test_window_ladder_structure():
     gaps = [abs(s - 2.0) for s in tail]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert abs(w["slopes"][-1] - 2.0) < 0.05
+
+
+@pytest.mark.parametrize("rho", [0.6, 0.0, -0.95])
+def test_windows_are_certified_and_match_truncated(rho):
+    w = second_moment_windows(rho)
+    for k, delta in enumerate(w["deltas"]):
+        value, err = w["values"][k], w["errors"][k]
+        assert value == pytest.approx(
+            truncated_second_moment(rho, delta).value, rel=1e-13, abs=0.0)
+        assert 0.0 <= err <= max(1e-11, 1e-8 * value)
+    assert 0 < w["evaluations"][0]
+    assert all(a < b for a, b in zip(w["evaluations"], w["evaluations"][1:]))
+
+
+def test_uncertified_window_raises(monkeypatch):
+    real_quad = integrals.integrate.quad
+    calls = []
+
+    def quad(*args, **kwargs):
+        out = real_quad(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 3:  # the third window misses its target
+            return (out[0], 1e-3 * abs(out[0]) + 1.0) + tuple(out[2:])
+        return out
+
+    monkeypatch.setattr(integrals.integrate, "quad", quad)
+    with pytest.raises(QuadratureError, match="second_moment_windows"):
+        second_moment_windows(0.6)
+    assert len(calls) == 3
+
+
+def test_run_integrals_integrates_each_window_once(monkeypatch):
+    real_quad = integrals.integrate.quad
+    calls = []
+
+    def quad(func, *args, **kwargs):
+        if func is integrals._second_moment_integrand_t:
+            calls.append(args[:2])
+        return real_quad(func, *args, **kwargs)
+
+    monkeypatch.setattr(integrals.integrate, "quad", quad)
+    rows = run_experiment(ExperimentConfig(experiment="integrals", seed=1,
+                                           rho=0.6))["integrals"]
+    assert len(calls) == 7
+    assert len(set(calls)) == 7
+    trunc = [r for r in rows if r["kind"] == "truncated_second_moment"]
+    assert [r["centered_or_ratio"] for r in trunc] \
+        == list(integrals._WINDOW_DELTAS)
 
 
 def test_limit_second_moment_diverges_for_all_rho():

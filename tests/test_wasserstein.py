@@ -9,8 +9,10 @@ from scipy.special import ndtri
 
 from w2gauss import (DomainError, GaussianReference, STANDARD, SortedSample,
                      expected_one_sample_w2sq, quantile_integral,
-                     quantile_sq_integral, standard_normals, substream,
+                     quantile_sq_integral, standard_normals,
+                     std_normal_pdf, std_normal_quantile, substream,
                      tail_decomposition, w2sq_two_sample, w2sq_vs_gaussian)
+from w2gauss import wasserstein
 
 LOGLOG = lambda n: math.log(math.log(n))
 
@@ -237,6 +239,89 @@ def test_extreme_mass_small_and_shrinking():
            "0.1 at this sample size")
 def test_extreme_mass_below_point_one_at_1e5():
     assert _extremes_mc(10 ** 5) < 0.1
+
+
+# --------------------------------------------------------------------------
+# the one antiderivative evaluator against the former scalar formulas
+# --------------------------------------------------------------------------
+
+def _ref_h(u):
+    if u <= 0.0 or u >= 1.0:
+        return 0.0
+    return float(std_normal_pdf(std_normal_quantile(u)))
+
+
+def _ref_a2(u):
+    if u <= 0.0:
+        return 0.0
+    if u >= 1.0:
+        return 1.0
+    x = float(std_normal_quantile(u))
+    return u - x * float(std_normal_pdf(x))
+
+
+def _ref_cell_integral(z, a, b):
+    i1 = _ref_h(a) - _ref_h(b)
+    i2 = _ref_a2(b) - _ref_a2(a)
+    return z * z * (b - a) - 2.0 * z * i1 + i2
+
+
+def _ref_tables(n):
+    i = np.arange(0, n + 1)
+    lower = np.minimum(i, n - i)
+    u_low = lower / n
+    interior = u_low > 0
+    x = np.zeros(n + 1)
+    x[interior] = ndtri(u_low[interior])
+    H = np.where(interior, np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
+                 0.0)
+    A2_low = np.where(interior, u_low - x * H, 0.0)
+    A2 = np.where(i * 2 <= n, A2_low, 1.0 - A2_low)
+    return H, A2, np.diff(H)
+
+
+def _ref_pieces(s, C=1.0, theta=2.0, gamma=2.0):
+    n, z = s.n, s.values
+    logn = math.log(n)
+    K = int(math.floor(C * logn ** theta))
+    H, A2, dH = _ref_tables(n)
+    cells = z * z / n + 2.0 * z * dH + np.diff(A2)
+    a_n = _ref_cell_integral(float(z[-1]), 1.0 - 1.0 / (n * logn ** gamma),
+                             1.0)
+    i_half = math.ceil(n / 2)
+    partial = _ref_cell_integral(float(z[i_half - 1]), 0.5, i_half / n)
+    return {"a_n": a_n, "b_n": float(cells[-1]) - a_n,
+            "c_n": math.fsum(cells[n - K:n - 1]),
+            "d_n": partial + math.fsum(cells[i_half:n - K]),
+            "half_total": partial + math.fsum(cells[i_half:])}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 1001, 20000])
+def test_boundary_tables_match_former_construction(n):
+    got = wasserstein._boundary_tables(n)
+    for table, want in zip(got, _ref_tables(n)):
+        assert table.tobytes() == want.tobytes()
+
+
+def test_quantile_integrals_within_one_ulp_of_scalar_formulas():
+    intervals = [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.0, 0.3), (0.7, 1.0),
+                 (0.45, 0.55), (0.5, 0.5), (0.1, 0.3), (0.6, 0.99),
+                 (0.9, 1.0 - 1e-9), (1e-9, 0.9), (0.3, 0.7)]
+    for a, b in intervals:
+        for got, ends in ((quantile_integral(a, b), (_ref_h(b), _ref_h(a))),
+                          (quantile_sq_integral(a, b),
+                           (_ref_a2(a), _ref_a2(b)))):
+            assert abs(got - (ends[1] - ends[0])) <= math.ulp(max(ends)), \
+                (a, b)
+
+
+def test_tail_decomposition_pieces_match_scalar_formulas():
+    for n, rep in [(10 ** 4, 0), (10 ** 3, 1), (10 ** 4, 1), (10 ** 5, 1),
+                   (10 ** 4, 2), (1001, 3)]:
+        s = _sample(n, rep)
+        d = tail_decomposition(s)
+        for name, want in _ref_pieces(s).items():
+            assert getattr(d, name) == max(0.0, want), (n, rep, name)
 
 
 # --------------------------------------------------------------------------
