@@ -12,25 +12,21 @@ machine-readable JSON error line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .errors import DomainError
-from .experiments import ExperimentConfig, run_experiment, write_outputs
+from .experiments import (EXPERIMENTS, ExperimentConfig, run_experiment,
+                          write_outputs)
 
-_SUBCOMMANDS = {
-    "one-sample": "one_sample",
-    "two-sample": "two_sample",
-    "limit-compare": "limit_compare",
-    "expansions": "expansions",
-    "integrals": "integrals",
-    "moments": "moments",
-}
+_SUBCOMMANDS = {e.replace("_", "-"): e for e in EXPERIMENTS}
 
-# config keys that may arrive from the JSON file
-_FILE_KEYS = {"experiment", "seed", "n", "ns", "reps", "rho", "workers", "m",
-              "delta", "m_sample", "C", "theta", "gamma", "divergence_demo",
-              "out"}
+# the knobs are the ExperimentConfig fields; ``n`` is the file's (and the
+# command line's) spelling of ``ns``, and the subcommand names the experiment
+_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+_FILE_KEYS = frozenset(_FIELDS) | {"n"}
+_FLAG_KEYS = tuple(k for k in _FIELDS if k not in ("experiment", "ns"))
 
 
 def _parse_ns(text: str) -> tuple[int, ...]:
@@ -51,36 +47,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _SUBCOMMANDS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--n", type=str, default=None,
-                       help="sample size, or comma list of sizes")
-        p.add_argument("--reps", type=int, default=None,
-                       help="Monte Carlo replications")
-        p.add_argument("--rho", type=float, default=None,
-                       help="correlation in (-1, 1)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--n", help="sample size, or comma list of sizes")
+        p.add_argument("--reps", type=int, help="Monte Carlo replications")
+        p.add_argument("--rho", type=float, help="correlation in (-1, 1)")
+        p.add_argument("--seed", type=int,
                        help="explicit RNG seed (required; no clock default)")
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--workers", type=int,
                        help="worker threads (never changes any number)")
-        p.add_argument("--config", type=str, default=None,
+        p.add_argument("--config",
                        help="JSON config file; CLI flags override it")
-        p.add_argument("--out", type=str, default=None,
-                       help="output directory for CSV/JSON reports")
-        p.add_argument("--m", type=int, default=None,
-                       help="limit-law grid size")
-        p.add_argument("--delta", type=float, default=None,
+        p.add_argument("--out", help="output directory for CSV/JSON reports")
+        p.add_argument("--m", type=int, help="limit-law grid size")
+        p.add_argument("--delta", type=float,
                        help="grid truncation (default 1/(4n))")
-        p.add_argument("--m-sample", dest="m_sample", type=int, default=None,
+        p.add_argument("--m-sample", type=int,
                        help="empirical-coupling sample size")
-        p.add_argument("--C", type=float, default=None,
+        p.add_argument("--C", type=float,
                        help="constant C of d1n's cut K = floor(C (log n)"
                             "^theta) in the integrals runner")
-        p.add_argument("--theta", type=float, default=None,
+        p.add_argument("--theta", type=float,
                        help="exponent theta in (1, 2] of d1n's cut in the "
                             "integrals runner")
-        p.add_argument("--gamma", type=float, default=None,
-                       help="tail-decomposition exponent gamma > 1")
-        p.add_argument("--divergence-demo", dest="divergence_demo",
-                       action="store_true", default=None,
+        p.add_argument("--divergence-demo", action="store_true", default=None,
                        help="allow rho = 0 sampling as a divergence demo")
     return parser
 
@@ -106,8 +94,7 @@ def _assemble(args: argparse.Namespace) -> ExperimentConfig:
     merged: dict = {}
     if args.config:
         merged.update(_load_config_file(args.config))
-    for key in ("reps", "rho", "seed", "workers", "out", "m", "delta",
-                "m_sample", "C", "theta", "gamma", "divergence_demo"):
+    for key in _FLAG_KEYS:
         val = getattr(args, key)
         if val is not None:
             merged[key] = val

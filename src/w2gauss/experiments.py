@@ -30,7 +30,7 @@ from .extremes import (VARIANTS, extreme_mean, extreme_var,
                        sample_extreme)
 from .integrals import (bickel_integral, d1n, second_moment_windows,
                         truncated_second_moment)
-from .limitlaw import (MECHANISMS, build_grid, ks_two_sample,
+from .limitlaw import (MECHANISMS, _draw_summary, build_grid, ks_two_sample,
                        sample_limit_law)
 from .special import (as_correlation, h_tail_expansion, psi, psi_expansion,
                       quantile_tail_expansion, scaled_tail, std_normal_quantile)
@@ -61,7 +61,11 @@ _NEEDS_RHO = ("two_sample", "limit_compare")
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; ``seed`` is always explicit."""
+    """Validated experiment description; ``seed`` is always explicit.
+
+    The fields are the one list of knobs: the CLI flags, the config-file
+    keys and the :meth:`config_hash` payload all derive from them.
+    """
 
     experiment: str
     seed: int
@@ -74,7 +78,6 @@ class ExperimentConfig:
     m_sample: int = 10 ** 4
     C: float = 1.0
     theta: float = 2.0
-    gamma: float = 2.0
     divergence_demo: bool = False
     out: str = "results"
 
@@ -108,18 +111,12 @@ class ExperimentConfig:
             raise DomainError(f"{self.experiment} requires at least one n")
 
     def config_hash(self) -> str:
-        """12-hex-digit digest of the scientific configuration.
+        """12-hex-digit digest of every field but ``workers`` and ``out``.
 
-        ``workers`` and ``out`` are excluded: they must not change any
-        reported number.
+        Those two are excluded: they must not change any reported number.
         """
-        payload = {
-            "experiment": self.experiment, "seed": self.seed,
-            "ns": list(self.ns), "reps": self.reps, "rho": self.rho,
-            "m": self.m, "delta": self.delta, "m_sample": self.m_sample,
-            "C": self.C, "theta": self.theta, "gamma": self.gamma,
-            "divergence_demo": self.divergence_demo,
-        }
+        payload = dataclasses.asdict(self)
+        del payload["workers"], payload["out"]
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -221,11 +218,17 @@ def _loglog(n: int) -> float:
 # runners
 # --------------------------------------------------------------------------
 
+def _provenance(cfg: ExperimentConfig, experiment: str) -> dict:
+    """The ``seed, reps, config_hash`` columns of every row of a runner."""
+    if cfg.experiment != experiment:
+        raise DomainError(f"config experiment must be {experiment}")
+    return {"seed": cfg.seed, "reps": cfg.reps,
+            "config_hash": cfg.config_hash()}
+
+
 def run_one_sample(cfg: ExperimentConfig) -> dict[str, list[dict]]:
     """Mean one-sample distances with their Theorem-1 normalizations."""
-    if cfg.experiment != "one_sample":
-        raise DomainError("config experiment must be one_sample")
-    chash = cfg.config_hash()
+    provenance = _provenance(cfg, "one_sample")
     rows = []
     for n in cfg.ns:
         w2sq = replicate_w2sq(cfg.seed, "one_sample", n, cfg.reps,
@@ -243,8 +246,7 @@ def run_one_sample(cfg: ExperimentConfig) -> dict[str, list[dict]]:
             "mean_w2": mean_w2, "se_w2": se_w2,
             "ratio": n * mean_sq / ll,
             "root_ratio": math.sqrt(n / ll) * mean_w2 if ll == ll else math.nan,
-            "centered": n * mean_sq - ll,
-            "seed": cfg.seed, "reps": cfg.reps, "config_hash": chash,
+            "centered": n * mean_sq - ll, **provenance,
         })
     return {"one_sample": rows}
 
@@ -264,9 +266,7 @@ def run_two_sample(cfg: ExperimentConfig) -> dict[str, list[dict]]:
     growing with n accordingly).  For rho = 0, ``norm_indep`` reports
     ``n mean / (2 log log n)``.
     """
-    if cfg.experiment != "two_sample":
-        raise DomainError("config experiment must be two_sample")
-    chash = cfg.config_hash()
+    provenance = _provenance(cfg, "two_sample")
     rho = float(cfg.rho)
     rows = []
     for n in cfg.ns:
@@ -283,17 +283,14 @@ def run_two_sample(cfg: ExperimentConfig) -> dict[str, list[dict]]:
             "ref_truncated": ref_trunc, "ref_delta": delta,
             "ref_limit": math.inf,
             "norm_indep": float(vals.mean()) / (2.0 * ll)
-            if rho == 0.0 else math.nan,
-            "seed": cfg.seed, "reps": cfg.reps, "config_hash": chash,
+            if rho == 0.0 else math.nan, **provenance,
         })
     return {"two_sample": rows}
 
 
 def run_limit_compare(cfg: ExperimentConfig) -> dict[str, list[dict]]:
     """Finite-n draws against both limit-law mechanisms, with KS rows."""
-    if cfg.experiment != "limit_compare":
-        raise DomainError("config experiment must be limit_compare")
-    chash = cfg.config_hash()
+    provenance = _provenance(cfg, "limit_compare")
     rho = float(cfg.rho)
     limit_rows = []
     ks_rows = []
@@ -307,18 +304,10 @@ def run_limit_compare(cfg: ExperimentConfig) -> dict[str, list[dict]]:
                                  m_sample=cfg.m_sample,
                                  divergence_demo=cfg.divergence_demo)
             samples[mech] = s.values
-            row = s.summary()
-            row.update(seed=cfg.seed, reps=cfg.reps, config_hash=chash)
-            limit_rows.append(row)
-        q05, q50, q95 = np.quantile(finite, [0.05, 0.50, 0.95])
-        limit_rows.append({
-            "rho": rho, "mechanism": f"finite_n_{n}", "m": cfg.m,
-            "delta": delta, "n_draws": cfg.reps, "seed": cfg.seed,
-            "mean": float(finite.mean()),
-            "variance": float(finite.var(ddof=1)) if cfg.reps > 1 else 0.0,
-            "q05": float(q05), "q50": float(q50), "q95": float(q95),
-            "reps": cfg.reps, "config_hash": chash,
-        })
+            limit_rows.append(dict(s.summary(), **provenance))
+        limit_rows.append(dict(
+            _draw_summary(finite, rho, f"finite_n_{n}", cfg.m, delta,
+                          cfg.seed), **provenance))
         pairs = [(f"finite_n_{n}", "gaussian_grid"),
                  (f"finite_n_{n}", "empirical_coupling"),
                  ("gaussian_grid", "empirical_coupling")]
@@ -326,8 +315,7 @@ def run_limit_compare(cfg: ExperimentConfig) -> dict[str, list[dict]]:
             ks = ks_two_sample(samples[la], samples[lb])
             ks_rows.append({
                 "label_a": la, "label_b": lb, "n_a": ks.n_a, "n_b": ks.n_b,
-                "ks_stat": ks.statistic, "p_value": ks.p_value,
-                "seed": cfg.seed, "reps": cfg.reps, "config_hash": chash,
+                "ks_stat": ks.statistic, "p_value": ks.p_value, **provenance,
             })
     return {"limit": limit_rows, "ks": ks_rows}
 
@@ -339,17 +327,14 @@ _SCALED_AS = (0.5, 2.0)
 
 def run_expansions(cfg: ExperimentConfig) -> dict[str, list[dict]]:
     """Tail-expansion accuracy tables: exact vs asymptotic with ratios."""
-    if cfg.experiment != "expansions":
-        raise DomainError("config experiment must be expansions")
-    chash = cfg.config_hash()
+    provenance = _provenance(cfg, "expansions")
     rows = []
 
     def add(kind: str, arg: float, exact: float, asym: float, order: float):
         rows.append({
             "kind": kind, "arg": arg, "exact": exact, "asymptotic": asym,
             "ratio": exact / asym if asym != 0 else math.nan,
-            "error_order": order, "seed": cfg.seed, "reps": cfg.reps,
-            "config_hash": chash,
+            "error_order": order, **provenance,
         })
 
     for x in _PSI_XS:
@@ -376,16 +361,13 @@ _INTEGRAL_NS = (1e4, 1e8, 1e16, 1e32)
 
 def run_integrals(cfg: ExperimentConfig) -> dict[str, list[dict]]:
     """Certified singular-integral values, including divergence witnesses."""
-    if cfg.experiment != "integrals":
-        raise DomainError("config experiment must be integrals")
-    chash = cfg.config_hash()
+    provenance = _provenance(cfg, "integrals")
     rows = []
 
     def add(kind: str, key: float, res=None, **override):
         row = {"kind": kind, "n_or_rho": key,
                "value": math.nan, "centered_or_ratio": math.nan,
-               "error_estimate": math.nan, "evaluations": 0,
-               "seed": cfg.seed, "reps": cfg.reps, "config_hash": chash}
+               "error_estimate": math.nan, "evaluations": 0, **provenance}
         if res is not None:
             row.update(value=res.value, centered_or_ratio=res.centered_or_ratio,
                        error_estimate=res.abs_error_estimate,
@@ -413,9 +395,7 @@ _MOMENT_KS = (0, 1, 2, 5)
 
 def run_moments(cfg: ExperimentConfig) -> dict[str, list[dict]]:
     """Extreme-order-statistic predictions vs the exact Beta-draw oracle."""
-    if cfg.experiment != "moments":
-        raise DomainError("config experiment must be moments")
-    chash = cfg.config_hash()
+    provenance = _provenance(cfg, "moments")
     ns = cfg.ns or (10 ** 6,)
     rows = []
     for n in ns:
@@ -428,8 +408,8 @@ def run_moments(cfg: ExperimentConfig) -> dict[str, list[dict]]:
                     "mean_pred": pred.mean_pred, "var_pred": pred.var_pred,
                     "mc_mean": mc.mean, "mc_mean_se": mc.se_mean,
                     "mc_var": mc.variance, "mc_var_se": mc.se_var,
-                    "reps": cfg.reps, "seed": cfg.seed,
-                    "config_hash": chash,
+                    # reps first: moments.csv orders reps, seed, config_hash
+                    "reps": cfg.reps, **provenance,
                 })
     return {"moments": rows}
 

@@ -158,6 +158,23 @@ def _lower_bulk_integrand_t(t: float) -> float:
     return (1.0 - u) * math.exp(_log_weight_t(t, L, x))
 
 
+def _bulk_quad(t_hi: float, what: str, integrand=_bulk_integrand_t,
+               scale: float = 1.0) -> tuple[float, float, int]:
+    """``scale`` times the certified integral of the weight ``u(1-u)/h^2``.
+
+    The one quadrature behind ``bickel_integral`` and ``d1n``: integrates
+    ``integrand`` (the upper half, or its mirror) over ``[T_HALF, t_hi]``
+    and returns value, error estimate and evaluation count like
+    :func:`_second_moment_quad`.
+    """
+    value, err, info = integrate.quad(
+        integrand, T_HALF, t_hi, full_output=True,
+        epsabs=1e-13, epsrel=1e-10, limit=400)[:3]
+    value *= scale
+    err *= scale
+    return value, err, _certify(value, err, info, what)
+
+
 def _t_of(delta: float) -> float:
     return math.log(math.log(1.0 / delta))
 
@@ -175,27 +192,20 @@ def bickel_integral(n, *, use_symmetry: bool = True) -> SingularIntegralResult:
     ``n`` may be any real >= 8 (it enters only through the cut ``1/n``,
     so astronomically large values are legal).  By default the value is
     twice the upper half, which is exact by the u <-> 1-u symmetry;
-    ``use_symmetry=False`` integrates both halves independently (useful to
-    validate the mirrored transform).  ``centered_or_ratio`` holds the
-    centered value, i.e. value minus ``log log n``.
+    ``use_symmetry=False`` integrates and certifies both halves
+    independently (useful to validate the mirrored transform).
+    ``centered_or_ratio`` holds the centered value, i.e. value minus
+    ``log log n``.
     """
     nf = _check_n(n)
     t_hi = _t_of(1.0 / nf)
-    upper, err_u, info_u = integrate.quad(
-        _bulk_integrand_t, T_HALF, t_hi, full_output=True,
-        epsabs=1e-13, epsrel=1e-10, limit=400)[:3]
     if use_symmetry:
-        value = 2.0 * upper
-        err = 2.0 * err_u
-        neval = _certify(value, err, info_u, "bickel_integral")
+        value, err, neval = _bulk_quad(t_hi, "bickel_integral", scale=2.0)
     else:
-        lower, err_l, info_l = integrate.quad(
-            _lower_bulk_integrand_t, T_HALF, t_hi, full_output=True,
-            epsabs=1e-13, epsrel=1e-10, limit=400)[:3]
-        value = upper + lower
-        err = err_u + err_l
-        neval = (_certify(value, err, info_u, "bickel_integral")
-                 + int(info_l["neval"]))
+        (upper, err_u, n_u), (lower, err_l, n_l) = (
+            _bulk_quad(t_hi, "bickel_integral", f)
+            for f in (_bulk_integrand_t, _lower_bulk_integrand_t))
+        value, err, neval = upper + lower, err_u + err_l, n_u + n_l
     loglog_n = math.log(math.log(nf))
     return SingularIntegralResult(
         value=value, abs_error_estimate=err, evaluations=neval,
@@ -217,11 +227,7 @@ def d1n(n, C: float = 1.0, theta: float = 2.0) -> SingularIntegralResult:
     d_cut = K / nf
     if d_cut >= 0.5:
         raise DomainError("cut K/n must fall below 1/2")
-    t_hi = _t_of(d_cut)
-    value, err, info = integrate.quad(
-        _bulk_integrand_t, T_HALF, t_hi, full_output=True,
-        epsabs=1e-13, epsrel=1e-10, limit=400)[:3]
-    neval = _certify(value, err, info, "d1n")
+    value, err, neval = _bulk_quad(_t_of(d_cut), "d1n")
     loglog_n = math.log(math.log(nf))
     return SingularIntegralResult(
         value=value, abs_error_estimate=err, evaluations=neval,

@@ -138,16 +138,21 @@ class LimitSample:
         object.__setattr__(self, "values", arr)
 
     def summary(self) -> dict:
-        v = self.values
-        q05, q50, q95 = np.quantile(v, [0.05, 0.50, 0.95])
-        return {
-            "rho": self.rho.rho, "mechanism": self.mechanism,
-            "m": self.grid.m, "delta": self.grid.delta,
-            "n_draws": int(v.size), "seed": self.seed,
-            "mean": float(v.mean()),
-            "variance": float(v.var(ddof=1)) if v.size > 1 else 0.0,
-            "q05": float(q05), "q50": float(q50), "q95": float(q95),
-        }
+        return _draw_summary(self.values, self.rho.rho, self.mechanism,
+                             self.grid.m, self.grid.delta, self.seed)
+
+
+def _draw_summary(values: np.ndarray, rho: float, mechanism: str, m: int,
+                  delta: float, seed: int) -> dict:
+    """The ``limit.csv`` columns of a set of draws, limit-law or finite-n."""
+    q05, q50, q95 = np.quantile(values, [0.05, 0.50, 0.95])
+    return {
+        "rho": rho, "mechanism": mechanism, "m": m, "delta": delta,
+        "n_draws": int(values.size), "seed": seed,
+        "mean": float(values.mean()),
+        "variance": float(values.var(ddof=1)) if values.size > 1 else 0.0,
+        "q05": float(q05), "q50": float(q50), "q95": float(q95),
+    }
 
 
 @dataclasses.dataclass(frozen=True)

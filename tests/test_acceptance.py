@@ -17,7 +17,7 @@ from scipy.special import ndtri
 
 from w2gauss import (VARIANTS, DivergenceError, ExperimentConfig,
                      GaussianReference, SortedSample, bickel_integral,
-                     build_grid, d1n, extreme_mean, ks_two_sample,
+                     build_grid, d1n, ks_two_sample,
                      limit_second_moment, order_stat_cdf, replicate_w2sq,
                      resolve_index_variant, run_experiment, sample_limit_law,
                      std_normal_cdf, truncated_second_moment,
@@ -176,26 +176,17 @@ def test_criterion_06_index_variant_oracle():
                             abs(float(order_stat_cdf(float(x), n, k)) - direct))
     assert worst_cdf < 1e-10, f"order_stat_cdf vs binomial sum: {worst_cdf:.2e}"
     # clause 2: exactly one variant within 3 SE + one error order, for the
-    # mean AND the variance at every k, and it is the canonical one
-    n = 10 ** 6
-    res = resolve_index_variant(n=n, ks=(0, 1, 2, 5), reps=10 ** 6,
+    # mean AND the variance at every k (resolve_index_variant's survivors),
+    # and it is the one the bare-SE ranking calls canonical
+    res = resolve_index_variant(n=10 ** 6, ks=(0, 1, 2, 5), reps=10 ** 6,
                                 seed=20260301)
-    excess = {v: 0.0 for v in VARIANTS}
-    for row in res["details"]:
-        for v in VARIANTS:
-            pred = extreme_mean(n, row["k"], v)
-            excess[v] = max(
-                excess[v],
-                (abs(row["mc_mean"] - row[v]["mean_pred"])
-                 - 3.0 * row["se_mean"]) / pred.mean_error_order,
-                (abs(row["mc_var"] - row[v]["var_pred"])
-                 - 3.0 * row["se_var"]) / pred.var_error_order)
-    survivors = [v for v in VARIANTS if excess[v] <= 1.0]
-    _verdict(6, survivors == [res["canonical"]],
+    excess = res["worst_excess"]
+    _verdict(6, res["survivors"] == [res["canonical"]],
              f"cdf oracle max gap {worst_cdf:.1e} (< 1e-10); worst excess "
              f"over 3 SE in error orders (survives at <= 1): "
              + ", ".join(f"{v} {excess[v]:.2f}" for v in VARIANTS)
-             + f"; survivors {survivors}, canonical {res['canonical']}")
+             + f"; survivors {res['survivors']}, "
+               f"canonical {res['canonical']}")
 
 
 def test_criterion_07_theorem2_distributional(finite_draws_rho06):

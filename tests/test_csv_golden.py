@@ -23,24 +23,24 @@ CASES = {
     "one_sample": (
         dict(experiment="one_sample", seed=7, ns=(64, 1000), reps=200),
         "one_sample.csv",
-        "96442246efc36aeb282e1d00e0671c110dbb09f2fa83b4c52814fee97a15d406"),
+        "e66952b35b1b11a98901425bc2fd0cc545d99dca9996dc3be6226bbe79ebc06c"),
     "two_sample": (
         dict(experiment="two_sample", seed=3, ns=(128, 2000), reps=100,
              rho=0.6),
         "two_sample.csv",
-        "d368aa09e97093c6e2fdfe133cd9f9524e0e953d479a89d79936a1cc5e9a393c"),
+        "44852d40c45f04ba440a22591a64e67c8e89867f227c33c69b0da73993d3440d"),
     "expansions": (
         dict(experiment="expansions", seed=1),
         "expansions.csv",
-        "854064fdafda425ba59dee4006ac97f667a7469d44602b0a3277db688d45dc4b"),
+        "5e4658521fa78c85c7a945ba1dd8e9bc765e6fbb9e0ddb229484b48d7f1fe782"),
     "integrals": (
         dict(experiment="integrals", seed=1, rho=0.6),
         "integrals.csv",
-        "e3202048b21178d72196d2fb6b4d0bac6a9759417ff1633d1842eb7f61f464b0"),
+        "1f68056607402c90f1538c16eb9388d564053aba1b3cd6666c09d54d5952fed0"),
     "moments": (
         dict(experiment="moments", seed=2, ns=(10 ** 4,), reps=3000),
         "moments.csv",
-        "3723434bb4d6bba15c3296ef09069bd91590c740fb663c0efbb84ab3a953f29c"),
+        "130c0c1ff5668cd9531db40ba53f2d97c780b74bca12fe045a6d352b168520d3"),
 }
 
 

@@ -1,8 +1,11 @@
 """Experiment configs, runners, deterministic serialization, and the CLI."""
 
+import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -17,7 +20,7 @@ from w2gauss import (DomainError, EXPERIMENTS, ExperimentConfig, SortedSample,
                      truncated_second_moment, w2sq_two_sample,
                      w2sq_vs_gaussian, write_outputs)
 from w2gauss import experiments, streams
-from w2gauss.cli import main
+from w2gauss.cli import build_parser, main
 
 
 # --------------------------------------------------------------------------
@@ -405,3 +408,53 @@ def test_cli_comma_separated_ns(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(open(out / "one_sample.json").read())
     assert [r["n"] for r in doc["rows"]] == [16, 64]
+
+
+# --------------------------------------------------------------------------
+# one schema: ExperimentConfig's fields are the knobs
+# --------------------------------------------------------------------------
+
+def _subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_parser_options_are_the_config_fields():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for name in _subparsers():
+        dests = set(vars(build_parser().parse_args([name])))
+        # --n spells ns, --config names a file, the subcommand the experiment
+        assert dests - {"subcommand", "config", "n"} == \
+            fields - {"experiment", "ns"}, name
+
+
+def test_cli_rejects_gamma_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["one-sample", "--gamma", "2", "--n", "32", "--reps", "2",
+              "--seed", "3", "--out", str(tmp_path / "g")])
+    assert exc.value.code == 2
+    assert "--gamma" in capsys.readouterr().err
+
+
+def test_cli_rejects_gamma_config_key(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"gamma": 2}))
+    rc = main(["one-sample", "--config", str(cfg_path), "--n", "32",
+               "--reps", "2", "--seed", "3", "--out", str(tmp_path / "g")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "DomainError"
+    assert "gamma" in doc["message"]
+
+
+def test_readme_flags_match_parser():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md")).read()
+    paragraph = readme[readme.index("Flags:"):].split("\n\n")[0]
+    documented = set(re.findall(r"--[A-Za-z][\w-]*", paragraph))
+    for name, sub in _subparsers().items():
+        options = {s for a in sub._actions for s in a.option_strings
+                   if s.startswith("--")} - {"--help"}
+        assert documented == options, name

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import ndtri
 
+from w2gauss import extremes
 from w2gauss import (DomainError, GAMMA0, MomentEstimate, extreme_mean,
                      extreme_var, harmonic_expansion_gap, harmonic_sums,
                      order_stat_cdf, resolve_index_variant, sample_extreme,
@@ -194,6 +195,31 @@ def test_variant_resolution_prefers_shifted():
                                 seed=20260301)
     assert res["canonical"] == "shifted"
     assert res["worst_dev_se"]["as_stated"] > 5.0 * res["worst_dev_se"]["shifted"]
+
+
+@pytest.mark.parametrize("moment", ["mean", "var"])
+@pytest.mark.parametrize("offset, survives", [(0.99, True), (1.01, False)])
+def test_survivors_allow_3se_plus_one_error_order(monkeypatch, moment, offset,
+                                                  survives):
+    """A variant survives iff every deviation is <= 3 SE + 1 error order."""
+    se_mean, se_var = 1e-4, 1e-5
+
+    def oracle(n, k, reps, seed):
+        # the shifted prediction, moved off by 3 SE + ``offset`` error orders
+        pred = extreme_mean(n, k, "shifted")
+        mean, var = pred.mean_pred, pred.var_pred
+        if moment == "mean":
+            mean += 3.0 * se_mean + offset * pred.mean_error_order
+        else:
+            var += 3.0 * se_var + offset * pred.var_error_order
+        return MomentEstimate(mean=mean, se_mean=se_mean, variance=var,
+                              count=reps, se_var=se_var)
+
+    monkeypatch.setattr(extremes, "sample_extreme", oracle)
+    res = resolve_index_variant(n=10 ** 6, ks=(0, 1, 5), reps=10 ** 6)
+    assert ("shifted" in res["survivors"]) is survives
+    assert "as_stated" not in res["survivors"]
+    assert res["worst_excess"]["shifted"] == pytest.approx(offset, abs=1e-6)
 
 
 @pytest.mark.xfail(
