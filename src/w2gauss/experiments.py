@@ -34,8 +34,8 @@ from .limitlaw import (MECHANISMS, _draw_summary, build_grid, ks_two_sample,
                        sample_limit_law)
 from .special import (as_correlation, h_tail_expansion, psi, psi_expansion,
                       quantile_tail_expansion, scaled_tail, std_normal_quantile)
-from .streams import (_correlate_inplace, _normals_inplace, _pair_rho,
-                      substream, uniforms_open)
+from .streams import (_correlate_inplace, _keyed_uniforms, _normals_inplace,
+                      _pair_rho, _philox_keys)
 from .wasserstein import (_boundary_tables, _check_sorted_rows, _mean_sq,
                           _w2sq_sorted)
 
@@ -144,12 +144,20 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
     :func:`w2sq_two_sample`.  The values are bit-for-bit those of that
     per-replication loop, at every ``workers``.
 
-    Replications run in blocks of about 2^17 numbers (1 MiB).  The
-    calling thread draws each block's uniforms; the normal transform,
-    sort, sortedness check and kernel ("finishing") run on ``workers - 1``
-    threads, at most ``workers`` blocks in flight, or inline when
-    ``workers == 1``.  At most ``min(workers - 1, number of blocks)``
-    threads are started.
+    The Philox keys of all ``reps`` substreams are derived up front in
+    one vectorised pass (:func:`streams._philox_keys`).  Replications run
+    in blocks of about 2^17 numbers (1 MiB).  The calling thread draws each
+    block: it re-keys one private Philox per replication, writes the raw
+    words into the block and converts them to 53-bit open uniforms in one
+    pass.  The normal transform, sort, sortedness check and kernel
+    ("finishing") run on ``workers - 1`` threads, at most ``workers``
+    blocks in flight, or inline when ``workers == 1``.  At most
+    ``min(workers - 1, number of blocks)`` threads are started.
+
+    One-sample blocks are sorted as uniforms, before ``ndtri``: the
+    transform is increasing and runs faster on sorted input.  Should
+    rounding leave a row out of order after the transform, the block is
+    sorted again, which gives the per-replication loop's rows.
     """
     n, reps, workers = int(n), int(reps), int(workers)
     if n < 1 or reps < 1 or workers < 1:
@@ -160,6 +168,7 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
         rho = _pair_rho(rho)
     else:
         dH = _boundary_tables(n)[2]
+    keys = _philox_keys(seed, domain, n, range(reps))
     rows = min(_block_rows(n, pairs), reps)
     starts = range(0, reps, rows)
     out = np.empty(reps)
@@ -173,17 +182,18 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
         # u[0] holds each replication's first n uniforms, u[1] (pairs) the
         # next n: X's, then Z's
         u = buffers[start // rows % len(buffers)][:, :reps - start]
-        for r in range(u.shape[1]):
-            g = substream(seed, domain, n, start + r)
-            for part in u:
-                part[r] = uniforms_open(g, n)
+        _keyed_uniforms(keys[start:start + u.shape[1]], u)
         return start, u
 
     def finish(start: int, u: np.ndarray) -> None:
-        _normals_inplace(u)
         if pairs:
+            _normals_inplace(u)
             _correlate_inplace(u[0], u[1], rho)  # u[1] becomes Y
-        s = np.sort(u, axis=2)
+            s = np.sort(u, axis=2)
+        else:
+            s = _normals_inplace(np.sort(u, axis=2))
+            if not (s[..., 1:] >= s[..., :-1]).all():
+                s = np.sort(s, axis=2)
         _check_sorted_rows(s.reshape(-1, n))
         if pairs:
             vals = [_mean_sq(row)

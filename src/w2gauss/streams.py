@@ -6,6 +6,14 @@ Distinct keys give statistically independent streams, and a replication's
 stream depends only on its own index — never on scheduling or worker
 count — so parallel runs are byte-reproducible.
 
+:func:`substream` defines a stream: numpy's ``SeedSequence`` hashes the
+key into a 128-bit Philox key.  The replication engine needs thousands of
+streams per run, so :func:`_philox_keys` does that hashing for a whole
+range of replication indices in one vectorised pass, and
+:func:`_keyed_uniforms` re-keys one private ``Philox`` per replication and
+turns its raw 64-bit words into the same uniforms :func:`uniforms_open`
+draws from the same stream.
+
 Normal variates are produced by inverse-cdf transform of open-interval
 uniforms, so a single audited quantile path feeds all samplers, and
 correlated pairs are exact via ``Y = rho X + sqrt(1-rho^2) Z``.
@@ -44,6 +52,20 @@ DOMAINS = {
 
 _TWO53 = float(2 ** 53)
 
+# numpy's SeedSequence hash constants (pool of four 32-bit words)
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _master_seed(master_seed) -> int:
+    seed = int(master_seed)
+    if seed < 0:
+        raise DomainError("master seed must be a nonnegative integer")
+    return seed
+
 
 def _key_ints(parts) -> tuple[int, ...]:
     out = []
@@ -66,17 +88,118 @@ def substream(master_seed: int, *key) -> np.random.Generator:
     ``key`` elements are nonnegative integers or registered domain names;
     the pair (seed, key) fully determines the stream.
     """
-    seed = int(master_seed)
-    if seed < 0:
-        raise DomainError("master seed must be a nonnegative integer")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=_key_ints(key))
+    ss = np.random.SeedSequence(entropy=_master_seed(master_seed),
+                                spawn_key=_key_ints(key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _words(q: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence reads from an int."""
+    out = [q & _MASK32]
+    while q := q >> 32:
+        out.append(q & _MASK32)
+    return out
+
+
+class _HashMix:
+    """SeedSequence's ``hashmix``: each call advances the hash constant."""
+
+    def __init__(self, const: int, mult: int):
+        self.const, self.mult = const, mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(self.const)
+        self.const = self.const * self.mult & _MASK32
+        value = value * np.uint32(self.const)
+        return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of a pool word ``x`` with a hashed word ``y``."""
+    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _philox_keys(seed: int, domain: str, n: int, reps: range) -> np.ndarray:
+    """The ``(len(reps), 2)`` uint64 Philox keys of ``substream(seed, domain,
+    n, rep)`` for every ``rep`` in ``reps = range(start, stop)``.
+
+    Row ``i`` equals ``SeedSequence(entropy=seed, spawn_key=(DOMAINS[domain],
+    n, reps[i])).generate_state(2, np.uint64)``: numpy's pool-4 hash mixing,
+    done in uint32 lanes, one lane per replication.  The entropy words of
+    seed, domain and n are the same in every lane and are mixed once; a rep
+    at or above 2^32 adds a second word, so only those lanes mix it.
+    """
+    seed = _master_seed(seed)
+    dom, n, _ = _key_ints((domain, n, reps.start))
+    run = _words(seed)
+    shared = np.array(run + [0] * (_POOL - len(run)) + _words(dom) + _words(n),
+                      dtype=np.uint32)[:, np.newaxis]
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in shared[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+
+    def absorb(pool, word):
+        return [_mix(p, hashmix(word)) for p in pool]
+
+    for word in shared[_POOL:]:
+        pool = absorb(pool, word)
+    rep = np.arange(reps.start, reps.stop, dtype=np.uint64)
+    pool = absorb(pool, rep.astype(np.uint32))
+    high = (rep >> np.uint64(32)).astype(np.uint32)
+    if high.any():
+        pool = [np.where(high != 0, two, one)
+                for one, two in zip(pool, absorb(pool, high))]
+    # generate_state(2, uint64): four hashed pool words, paired little-endian
+    hashmix = _HashMix(_INIT_B, _MULT_B)
+    state = np.empty((rep.size, _POOL), dtype="<u4")
+    for i, p in enumerate(pool):
+        state[:, i] = hashmix(p)
+    return state.view("<u8").astype(np.uint64)
+
+
+def _open_unit(k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Set float ``out`` to ``(k + 1/2) / 2^53`` for 53-bit integers ``k``.
+
+    ``out`` may share ``k``'s memory.  The cast is exact below 2^53, so
+    this is ``(k + 0.5) / 2^53`` as numpy evaluates it.
+    """
+    np.copyto(out, k, casting="unsafe")
+    out += 0.5
+    out /= _TWO53
+    return out
 
 
 def uniforms_open(rng: np.random.Generator, size) -> np.ndarray:
     """Uniforms strictly inside (0, 1): ``(k + 1/2) / 2^53`` on 53-bit k."""
     k = rng.integers(0, 2 ** 53, size=size, dtype=np.int64)
-    return (k + 0.5) / _TWO53
+    return _open_unit(k, np.empty(np.shape(k)))
+
+
+def _keyed_uniforms(keys: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out[:, r]`` from the Philox stream keyed by ``keys[r]``.
+
+    ``out`` is a float64 ``(parts, len(keys), n)`` array.  Row ``r`` gets
+    what ``parts`` calls of ``uniforms_open(g, n)`` give on that stream:
+    ``integers(0, 2**53)`` draws one raw word ``w`` per value and returns
+    ``w >> 11`` (Lemire's method never rejects on a power-of-two range), so
+    the raw words go straight into ``out`` and the block is converted
+    once.  One private Philox is re-keyed per row, with a zero counter and
+    an empty buffer, as a freshly seeded one starts.
+    """
+    parts, _, n = out.shape
+    raw = out.view(np.uint64)
+    bits = np.random.Philox(0)
+    state = bits.state
+    for r, key in enumerate(keys):
+        state["state"]["key"] = key
+        bits.state = state
+        raw[:, r] = bits.random_raw(parts * n).reshape(parts, n)
+    np.right_shift(raw, 11, out=raw)
+    _open_unit(raw.view(np.int64), out=out)
 
 
 def _normals_inplace(u: np.ndarray) -> np.ndarray:

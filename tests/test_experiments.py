@@ -220,6 +220,25 @@ def test_replicate_w2sq_checks_every_block(monkeypatch, workers):
         replicate_w2sq(5, "generic", 16, 10, workers=workers)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_replicate_w2sq_sorts_again_when_ndtri_breaks_order(monkeypatch,
+                                                          workers):
+    # one-sample blocks are sorted before ndtri; a transform that leaves a
+    # row out of order must still give the sort-after-transform values
+    real_ndtri = streams.ndtri
+
+    def swapping_ndtri(u, out=None):
+        res = real_ndtri(u, out=out)
+        row = res.reshape(-1, res.shape[-1])[0]
+        row[[2, 5]] = row[[5, 2]]
+        return res
+
+    monkeypatch.setattr(streams, "ndtri", swapping_ndtri)
+    want = _loop_w2sq(5, "one_sample", 64, 10)
+    got = replicate_w2sq(5, "one_sample", 64, 10, workers=workers)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_replicate_w2sq_bounds_its_threads(monkeypatch):
     pool_sizes = []
     peak_threads = []
@@ -246,7 +265,8 @@ def test_replicate_w2sq_bounds_its_threads(monkeypatch):
 
 def test_replicate_w2sq_validation():
     for kwargs in (dict(n=0), dict(reps=0), dict(workers=0), dict(rho=1.0),
-                   dict(rho=float("nan")), dict(domain="nope")):
+                   dict(rho=float("nan")), dict(domain="nope"),
+                   dict(seed=-1)):
         args = dict(seed=1, domain="generic", n=8, reps=2) | kwargs
         with pytest.raises(DomainError):
             replicate_w2sq(**args)

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from w2gauss import (Correlation, DOMAINS, DomainError,
                      correlated_normal_pairs, standard_normals, substream,
                      uniforms_open)
+from w2gauss import streams
 
 
 def test_domain_codes_are_distinct_and_stable():
@@ -47,6 +49,47 @@ def test_no_collisions_across_rep_range():
     firsts = np.array([substream(99, "one_sample", r).standard_normal()
                        for r in range(2000)])
     assert len(np.unique(firsts)) == 2000
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       domain=st.sampled_from(sorted(DOMAINS)), n=st.integers(1, 2 ** 40),
+       # a rep at or above 2^32 takes two entropy words, so lanes of a
+       # range that crosses it differ in length
+       start=st.one_of(st.integers(0, 2 ** 34),
+                       st.integers(2 ** 32 - 16, 2 ** 32)),
+       length=st.integers(0, 24))
+@example(seed=0, domain="one_sample", n=1, start=2 ** 32 - 2, length=4)
+@example(seed=2 ** 64 - 1, domain="generic", n=2 ** 40, start=0, length=0)
+def test_philox_keys_match_seed_sequence(seed, domain, n, start, length):
+    reps = range(start, start + length)
+    got = streams._philox_keys(seed, domain, n, reps)
+    want = [np.random.SeedSequence(entropy=seed,
+                                   spawn_key=(DOMAINS[domain], n, rep))
+            .generate_state(2, np.uint64) for rep in reps]
+    assert got.dtype == np.uint64
+    assert got.shape == (length, 2)
+    assert np.array_equal(got, np.reshape(want, (length, 2)))
+
+
+def test_philox_keys_validation():
+    for args in ((-1, "generic", 4, range(3)), (5, "nope", 4, range(3)),
+                 (5, "generic", -4, range(3)),
+                 (5, "generic", 4, range(-1, 3))):
+        with pytest.raises(DomainError):
+            streams._philox_keys(*args)
+
+
+@pytest.mark.parametrize("parts, n", [(1, 1), (1, 1000), (2, 7), (2, 300)])
+def test_keyed_uniforms_match_uniforms_open(parts, n):
+    reps = range(3, 9)
+    out = np.empty((parts, len(reps), n))
+    streams._keyed_uniforms(streams._philox_keys(42, "two_sample", n, reps),
+                            out)
+    for r, rep in enumerate(reps):
+        g = substream(42, "two_sample", n, rep)
+        for part in out:
+            assert part[r].tobytes() == uniforms_open(g, n).tobytes()
 
 
 def test_uniforms_open_strictly_interior():
