@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,8 +37,7 @@ from .special import (as_correlation, h_tail_expansion, psi, psi_expansion,
                       quantile_tail_expansion, scaled_tail, std_normal_quantile)
 from .streams import (_correlate_inplace, _keyed_uniforms, _normals_inplace,
                       _pair_rho, _philox_keys)
-from .wasserstein import (_boundary_tables, _check_sorted_rows, _mean_sq,
-                          _w2sq_sorted)
+from .wasserstein import _cell_tables, _check_sorted_rows, _w2sq_rows
 
 __all__ = [
     "EXPERIMENTS",
@@ -126,6 +126,7 @@ class ExperimentConfig:
 # --------------------------------------------------------------------------
 
 _BLOCK_VALUES = 2 ** 17  # float64 values drawn per block (1 MiB)
+_WAITING = 2  # drawn blocks that may wait before the caller finishes one
 
 
 def _block_rows(n: int, pairs: bool) -> int:
@@ -149,15 +150,22 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
     in blocks of about 2^17 numbers (1 MiB).  The calling thread draws each
     block: it re-keys one private Philox per replication, writes the raw
     words into the block and converts them to 53-bit open uniforms in one
-    pass.  The normal transform, sort, sortedness check and kernel
-    ("finishing") run on ``workers - 1`` threads, at most ``workers``
-    blocks in flight, or inline when ``workers == 1``.  At most
-    ``min(workers - 1, number of blocks)`` threads are started.
+    pass.  The normal transform, sort, sortedness check and W2 reduction
+    ("finishing") run inline when ``workers == 1``.  Otherwise
+    ``min(workers - 1, number of blocks)`` threads finish drawn blocks,
+    oldest first, and the calling thread finishes the oldest itself
+    whenever ``_WAITING`` drawn blocks are already waiting, and whatever
+    still waits once all are drawn.  Block buffers come from a free list:
+    at most ``workers + 1`` are in use at once.  An error in a block raises
+    here, wherever the block was finished, after every thread has stopped.
 
-    One-sample blocks are sorted as uniforms, before ``ndtri``: the
-    transform is increasing and runs faster on sorted input.  Should
-    rounding leave a row out of order after the transform, the block is
-    sorted again, which gives the per-replication loop's rows.
+    Each block's W2 values are one row-wise reduction
+    (:func:`wasserstein._w2sq_rows`) of the rank-wise gaps: ``Z - m``
+    against the cell means of :func:`wasserstein._cell_tables`, or
+    ``X - Y`` for pairs.  One-sample blocks are sorted as uniforms, before
+    ``ndtri``: the transform is increasing and runs faster on sorted input.
+    Should rounding leave a row out of order after the transform, the
+    block is sorted again, which gives the per-replication loop's rows.
     """
     n, reps, workers = int(n), int(reps), int(workers)
     if n < 1 or reps < 1 or workers < 1:
@@ -167,25 +175,21 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
     if pairs:
         rho = _pair_rho(rho)
     else:
-        dH = _boundary_tables(n)[2]
+        m, within = _cell_tables(n)
     keys = _philox_keys(seed, domain, n, range(reps))
     rows = min(_block_rows(n, pairs), reps)
     starts = range(0, reps, rows)
     out = np.empty(reps)
-    # block k reuses the buffer of block k - workers, which has finished
-    # (at most ``workers`` blocks are in flight): allocating each block
-    # afresh costs a page fault per 4 KiB
-    buffers = [np.empty((2 if pairs else 1, rows, n))
-               for _ in range(min(workers, len(starts)))]
 
-    def draw(start: int) -> tuple[int, np.ndarray]:
+    def draw(start: int, buffer: np.ndarray) -> tuple[int, np.ndarray]:
         # u[0] holds each replication's first n uniforms, u[1] (pairs) the
         # next n: X's, then Z's
-        u = buffers[start // rows % len(buffers)][:, :reps - start]
+        u = buffer[:, :reps - start]
         _keyed_uniforms(keys[start:start + u.shape[1]], u)
-        return start, u
+        return start, buffer
 
-    def finish(start: int, u: np.ndarray) -> None:
+    def finish(start: int, buffer: np.ndarray) -> None:
+        u = buffer[:, :reps - start]
         if pairs:
             _normals_inplace(u)
             _correlate_inplace(u[0], u[1], rho)  # u[1] becomes Y
@@ -196,24 +200,77 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
                 s = np.sort(s, axis=2)
         _check_sorted_rows(s.reshape(-1, n))
         if pairs:
-            vals = [_mean_sq(row)
-                    for row in np.subtract(s[0], s[1], out=s[0])]
+            vals = _w2sq_rows(np.subtract(s[0], s[1], out=s[0]))
         else:
-            vals = [_w2sq_sorted(row, dH) for row in s[0]]
+            vals = _w2sq_rows(np.subtract(s[0], m, out=s[0]), within)
         out[start:start + len(vals)] = vals
+
+    def new_buffer() -> np.ndarray:
+        return np.empty((2 if pairs else 1, rows, n))
 
     threads = min(workers - 1, len(starts))
     if threads == 0:
+        buffer = new_buffer()
         for start in starts:
-            finish(*draw(start))
+            finish(*draw(start, buffer))
         return out
+
+    # reused buffers save a page fault per 4 KiB of each new block
+    free = []
+    waiting = collections.deque()  # drawn blocks, oldest first
+    cond = threading.Condition()
+    stop = drawn = False
+
+    def finishing_loop() -> None:
+        nonlocal stop
+        while True:
+            with cond:
+                while not (waiting or drawn or stop):
+                    cond.wait()
+                if stop or not waiting:
+                    return
+                block = waiting.popleft()
+            try:
+                finish(*block)
+            except BaseException:
+                with cond:
+                    stop = True
+                raise
+            with cond:
+                free.append(block[1])
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        in_flight = collections.deque()
-        for start in starts:
-            in_flight.append(pool.submit(finish, *draw(start)))
-            if len(in_flight) == workers:
-                in_flight.popleft().result()
-        for future in in_flight:
+        futures = [pool.submit(finishing_loop) for _ in range(threads)]
+        try:
+            for start in starts:
+                with cond:
+                    if stop:
+                        break
+                    own = waiting.popleft() if len(waiting) >= _WAITING \
+                        else None
+                    spare = free.pop() if free and own is None else None
+                if own is not None:
+                    finish(*own)
+                    spare = own[1]
+                block = draw(start, new_buffer() if spare is None else spare)
+                with cond:
+                    waiting.append(block)
+                    cond.notify()
+            while True:  # all drawn: finish what still waits
+                with cond:
+                    if stop or not waiting:
+                        break
+                    own = waiting.popleft()
+                finish(*own)
+        except BaseException:
+            with cond:
+                stop = True
+            raise
+        finally:
+            with cond:
+                drawn = True
+                cond.notify_all()
+        for future in futures:
             future.result()
     return out
 

@@ -10,9 +10,24 @@ in closed form from the two antiderivatives
 * ``int Phi^{-1}(u)^2 du = u - Phi^{-1}(u) h(u)``,
 
 both of which extend continuously to the endpoints (``h -> 0``), so no
-truncation is ever needed.  Per-interval terms are accumulated with
-pairwise-summing dot products, keeping the rounding error of the n = 10^6
-assembly far below the 1e-12 relative contract.
+truncation is ever needed.
+
+The distance itself is assembled per cell without cancellation.  With
+``m_i = n int_cell Phi^{-1}`` the cell mean of the reference quantile and
+``V_n = sum_i int_cell (Phi^{-1} - m_i)^2`` the sum of the within-cell
+variances (both from :func:`_cell_tables`, cached per n),
+
+    W_2^2(F_n, N(mu, sigma^2)) = (1/n) sum_i (Z_i - mu - sigma m_i)^2
+                                 + sigma^2 V_n,
+
+a sum of nonnegative terms, reduced row-wise by one pairwise
+``np.add.reduce`` (no BLAS, so the bytes do not depend on the BLAS thread
+count).  Against an exact-sum reference on a double-double ``h`` table,
+the largest relative error over seeded standard-normal samples was
+1.8e-15 at n = 1e3 and 1e4 (200 samples each) and 4.2e-15 at n = 1e5
+(20 samples); ``tests/test_wasserstein.py`` holds it to 1e-13.  The
+expansion ``mean(Z^2) + 2 sum Z_i (H_i - H_{i-1}) + 1`` that it replaced
+cancels terms of size 1 and reached 4.7e-13, 4.1e-12 and 3.0e-11 there.
 
 The module also provides the two-sample distance on a common grid, the
 upper-tail decomposition of the half integral into the pieces A, B, C, D
@@ -183,6 +198,100 @@ def _boundary_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return H, A2, dH
 
 
+# 8-point Gauss-Legendre rule on [-1, 1]: the nonnegative nodes and weights
+_GL_NODES = np.array([0.18343464249564980494, 0.52553240991632898582,
+                      0.79666647741362673959, 0.96028985649753623168])
+_GL_WEIGHTS = np.array([0.36268378337836198297, 0.31370664587788728734,
+                        0.22238103445337447054, 0.10122853629037625915])
+_GL_NODES = np.concatenate([-_GL_NODES[::-1], _GL_NODES])
+_GL_WEIGHTS = np.concatenate([_GL_WEIGHTS[::-1], _GL_WEIGHTS])
+_TAIL_PANELS = 24
+
+
+def _cell_moments(c, w):
+    """Gauss-Legendre sums ``S_k ~ int t^k phi(c + t) / phi(c) dt`` over
+    ``t`` in ``[-w, w]``, k = 0, 1, 2, for arrays of intervals ``[c - w,
+    c + w]``, up to the common factor ``w``.
+
+    ``S_1 / S_0`` and ``S_2 / S_0`` are the first two moments of ``X - c``
+    for a standard normal ``X`` truncated to the interval.  The weight
+    ``exp(-c t - t^2/2)`` is relative to the density at the centre, so none
+    underflows.
+    """
+    s0 = s1 = s2 = 0.0
+    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+        t = w * node
+        e = weight * np.exp(-t * (c + 0.5 * t))
+        s0 = s0 + e
+        s1 = s1 + t * e
+        s2 = s2 + t * t * e
+    return s0, s1, s2
+
+
+def _tail_moments(b: float) -> tuple[float, float]:
+    """``E[t]`` and ``E[t^2]`` of ``t = X - b`` given ``X >= b >= 0``.
+
+    Composite Gauss-Legendre over ``t`` in ``[0, T]``, where the density
+    relative to ``phi(b)``, ``exp(-b t - t^2/2)``, has fallen to ``e^-45``.
+    """
+    T = math.sqrt(b * b + 90.0) - b
+    half = 0.5 * T / _TAIL_PANELS
+    centres = half * (2.0 * np.arange(_TAIL_PANELS) + 1.0)
+    # t about each panel centre; the weight is relative to phi(b)
+    s0, s1, s2 = _cell_moments(b + centres, half)
+    scale = np.exp(-centres * (b + 0.5 * centres))
+    s0, s1, s2 = (float(np.add.reduce(scale * a))
+                  for a in (s0, s1 + centres * s0,
+                            s2 + centres * (2.0 * s1 + centres * s0)))
+    return s1 / s0, s2 / s0
+
+
+@functools.lru_cache(maxsize=8)
+def _cell_tables(n: int) -> tuple[np.ndarray, float]:
+    """Cell means ``m[i-1] = n int_{(i-1)/n}^{i/n} Phi^{-1}`` for i = 1..n and
+    the sum of within-cell variances ``V_n = sum_i int_cell (Phi^{-1} -
+    m_i)^2``.
+
+    Each cell is worked in ``x = Phi^{-1}(u)``, where it is the interval
+    ``[x_{i-1}, x_i]`` of a truncated standard normal: its mean and
+    variance ``E[t^2] - E[t]^2`` come from moments of ``t`` about the cell
+    centre (Gauss-Legendre in the bulk, a composite rule about the cut in
+    the two end cells), so no nearly equal numbers are subtracted.  Only
+    the lower half is computed; the upper half mirrors it, so
+    ``m[n-i] = -m[i-1]`` exactly.  Against 35-digit values, ``m`` is good
+    to ~1e-15 absolute and ``V_n`` to ~1e-15 relative.
+    """
+    if n == 1:
+        m = np.zeros(1)
+        m.flags.writeable = False
+        return m, 1.0
+    half = (n + 1) // 2              # cells 1..half: the lower half
+    x = ndtri(np.arange(1, half) / n)
+    # upper boundary of each lower-half cell; odd n: the middle cell
+    # [x, -x] straddles 0
+    upper = np.append(x, -x[-1] if n % 2 else 0.0)
+    mean = np.empty(half)
+    var = np.empty(half)
+    # cell 1, (-inf, x_1], mirrors the tail beyond -x_1
+    et, et2 = _tail_moments(-upper[0])
+    mean[0] = upper[0] - et
+    var[0] = et2 - et * et
+    c = 0.5 * (upper[1:] + upper[:-1])
+    w = 0.5 * (upper[1:] - upper[:-1])
+    s0, s1, s2 = _cell_moments(c, w)
+    et = s1 / s0
+    mean[1:] = c + et
+    var[1:] = s2 / s0 - et * et
+    if n % 2:
+        mean[-1] = 0.0               # the middle cell is symmetric about 0
+    m = np.concatenate([mean, -mean[::-1][n % 2:]])
+    m.flags.writeable = False
+    total = 2.0 * np.add.reduce(var[:half - n % 2])
+    if n % 2:
+        total += var[-1]
+    return m, float(total) / n
+
+
 def _endpoint_antiderivatives(*u: float) -> tuple[np.ndarray, np.ndarray]:
     """``h`` and ``A2`` at points ``u`` in ``[0, 1]``, mirrored about 1/2."""
     u = np.array(u)
@@ -239,25 +348,25 @@ def quantile_sq_integral(a, b, ref: GaussianReference = STANDARD) -> float:
 def w2sq_vs_gaussian(s: SortedSample, ref: GaussianReference = STANDARD) -> float:
     """Exact ``W_2^2(F_n, N(mu, sigma^2))`` from the sorted sample.
 
-    Assembled cell by cell from the closed-form antiderivatives; for the
-    standard reference this reduces to
-    ``mean(Z^2) + 2 sum_i Z_i (H_i - H_{i-1}) + 1``.
+    Equals ``(1/n) sum_i (Z_i - mu - sigma m_i)^2 + sigma^2 V_n``, with the
+    cell means ``m_i`` and the within-cell variance sum ``V_n`` of
+    :func:`_cell_tables`: a sum of nonnegative terms, so the value is
+    positive and accurate to ~1e-14 relative (see the module docstring).
     """
-    return _w2sq_sorted(s.values, _boundary_tables(s.n)[2], ref.mu, ref.sigma)
+    m, v = _cell_tables(s.n)
+    gaps = s.values - (ref.mu + ref.sigma * m)
+    return float(_w2sq_rows(gaps[np.newaxis], ref.sigma * ref.sigma * v)[0])
 
 
-def _w2sq_sorted(z: np.ndarray, dH: np.ndarray, mu: float = 0.0,
-                 sigma: float = 1.0) -> float:
-    """The kernel of :func:`w2sq_vs_gaussian` on a sorted, finite 1-d row."""
-    n = z.size
-    mean_sq = float(z @ z) / n
-    cross = float(z @ dH)
-    mean_z = float(np.sum(z)) / n if mu else 0.0  # mu = 0 drops the term
-    val = (mean_sq
-           - 2.0 * mu * mean_z
-           + 2.0 * sigma * cross
-           + mu * mu + sigma * sigma)
-    return max(0.0, val)
+def _w2sq_rows(gaps: np.ndarray, within: float = 0.0) -> np.ndarray:
+    """``(1/n) sum_i gaps[r, i]^2 + within`` for each row r of a 2-d array.
+
+    The one W2 reduction of both distances, for one row or a whole block:
+    one pairwise ``np.add.reduce`` per row, which gives a row the same bits
+    whatever block it sits in.  Squares ``gaps`` in place.
+    """
+    np.multiply(gaps, gaps, out=gaps)
+    return np.add.reduce(gaps, axis=-1) / gaps.shape[-1] + within
 
 
 def w2sq_two_sample(sx: SortedSample, sy: SortedSample) -> float:
@@ -268,12 +377,7 @@ def w2sq_two_sample(sx: SortedSample, sy: SortedSample) -> float:
     """
     if sx.n != sy.n:
         raise DomainError(f"sample sizes differ: {sx.n} != {sy.n}")
-    return _mean_sq(sx.values - sy.values)
-
-
-def _mean_sq(d: np.ndarray) -> float:
-    """``(1/n) sum_i d_i^2`` for the rank-wise gaps ``d`` of two sorted rows."""
-    return float(d @ d) / d.size
+    return float(_w2sq_rows((sx.values - sy.values)[np.newaxis])[0])
 
 
 # --------------------------------------------------------------------------

@@ -6,9 +6,9 @@ reported digit changes a digest here, and must say why in CHANGES.md
 when it updates the digest.  A different numpy, scipy or CPU instruction
 set can move last digits too, and with them these digests.
 
-Every configuration stays at n <= 1e4, where the CSV bytes do not depend
-on the number of OpenBLAS threads; limit-compare is left out because its
-Cholesky factor does (see ``test_csv_bytes_do_not_depend_on_blas_threads``).
+None of these CSV bytes depends on the number of OpenBLAS threads;
+limit-compare is left out because its Cholesky factor does (see
+``test_csv_bytes_do_not_depend_on_blas_threads``).
 """
 
 import hashlib
@@ -23,7 +23,7 @@ CASES = {
     "one_sample": (
         dict(experiment="one_sample", seed=7, ns=(64, 1000), reps=200),
         "one_sample.csv",
-        "e66952b35b1b11a98901425bc2fd0cc545d99dca9996dc3be6226bbe79ebc06c"),
+        "222fd652fe95092285ae98579fb6affe8a9431971c91fa428b7e09c4b1e304a5"),
     "two_sample": (
         dict(experiment="two_sample", seed=3, ns=(128, 2000), reps=100,
              rho=0.6),

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -200,7 +201,7 @@ class _UnsortedNumpy:
         return np.array(a)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_replicate_w2sq_checks_every_block(monkeypatch, workers):
     # unsorted rows
     with monkeypatch.context() as m:
@@ -239,6 +240,93 @@ def test_replicate_w2sq_sorts_again_when_ndtri_breaks_order(monkeypatch,
     assert got.tobytes() == want.tobytes()
 
 
+def _thread_kind():
+    return ("main" if threading.current_thread() is threading.main_thread()
+            else "pool")
+
+
+def _traced(fn, events, label, slow_on=None):
+    """``fn`` that appends ``(label, thread kind)`` to ``events`` on each
+    call, and first sleeps 20 ms when called on a ``slow_on`` thread."""
+    def traced(*args, **kwargs):
+        kind = _thread_kind()
+        events.append((label, kind))
+        if kind == slow_on:
+            time.sleep(0.02)
+        return fn(*args, **kwargs)
+    return traced
+
+
+@pytest.mark.parametrize("rho", [None, 0.6])
+def test_replicate_w2sq_caller_finishes_when_pool_lags(monkeypatch, rho):
+    # each block's W2 reduction sleeps on the pool thread, so drawn blocks
+    # pile up and the calling thread must finish some of them itself,
+    # before it has drawn the last one
+    monkeypatch.setattr(experiments, "_BLOCK_VALUES", 2 ** 10)
+    events = []
+    monkeypatch.setattr(experiments, "_keyed_uniforms", _traced(
+        experiments._keyed_uniforms, events, "draw"))
+    monkeypatch.setattr(experiments, "_w2sq_rows", _traced(
+        experiments._w2sq_rows, events, "finish", slow_on="pool"))
+    n, reps = 64, 100
+    got = replicate_w2sq(77, "two_sample", n, reps, rho=rho, workers=2)
+    blocks = -(-reps // experiments._block_rows(n, rho is not None))
+    assert events.count(("draw", "main")) == blocks
+    assert sum(label == "finish" for label, _ in events) == blocks
+    last_draw = len(events) - 1 - events[::-1].index(("draw", "main"))
+    assert ("finish", "main") in events[:last_draw]
+    assert got.tobytes() == _loop_w2sq(77, "two_sample", n, reps,
+                                       rho).tobytes()
+
+
+@pytest.mark.parametrize("nan_on", ["main", "pool"])
+def test_replicate_w2sq_error_on_either_thread_raises(monkeypatch, nan_on):
+    # the thread that gets the NaN block is made the fast one: a slow pool
+    # leaves blocks to the caller, a slow draw leaves them to the pool
+    monkeypatch.setattr(experiments, "_BLOCK_VALUES", 2 ** 10)
+    slow_kind = "pool" if nan_on == "main" else "main"
+    slow_fn = "_w2sq_rows" if slow_kind == "pool" else "_keyed_uniforms"
+    monkeypatch.setattr(experiments, slow_fn, _traced(
+        getattr(experiments, slow_fn), [], slow_fn, slow_on=slow_kind))
+    real_ndtri = streams.ndtri
+    poisoned = []
+
+    def nan_ndtri(u, out=None):
+        res = real_ndtri(u, out=out)
+        kind = _thread_kind()
+        if kind == nan_on:
+            poisoned.append(kind)
+            res[..., 0, 3] = np.nan
+        return res
+
+    monkeypatch.setattr(streams, "ndtri", nan_ndtri)
+    before = threading.active_count()
+    with pytest.raises(DomainError, match="finite"):
+        replicate_w2sq(5, "generic", 64, 100, workers=2)
+    assert poisoned and set(poisoned) == {nan_on}
+    assert threading.active_count() == before
+
+
+def test_replicate_w2sq_stress_more_workers_than_cores(monkeypatch):
+    # 100 four-row blocks through 5 workers with a 1 us switch interval:
+    # a block lost, finished twice or written to the wrong slot changes
+    # the bytes
+    monkeypatch.setattr(experiments, "_BLOCK_VALUES", 64)  # 4 rows at n = 16
+    want = replicate_w2sq(9, "generic", 16, 400, workers=1).tobytes()
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: got.append(
+            replicate_w2sq(9, "generic", 16, 400, workers=5)))
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert got[0].tobytes() == want
+
+
 def test_replicate_w2sq_bounds_its_threads(monkeypatch):
     pool_sizes = []
     peak_threads = []
@@ -274,18 +362,17 @@ def test_replicate_w2sq_validation():
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                     reason="needs two CPUs for two BLAS threads")
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "OpenBLAS splits work across its threads, so the last bits depend on "
-    "OPENBLAS_NUM_THREADS: above n = 1e4 in the one-sample kernel's dot "
-    "products z @ z and z @ dH (the BLAS-free kernel reductions of ROADMAP "
-    "item 3 fix this), and in the limit-law Cholesky factor, which moves "
-    "the gaussian_grid row of limit-compare (variance 1.955309597923444 "
-    "with 1 thread, 1.9553095979234456 with 2)"))
 @pytest.mark.parametrize("args, csv_name", [
     (["one-sample", "--n", "100000", "--reps", "2", "--seed", "7"],
      "one_sample.csv"),
-    (["limit-compare", "--rho", "0.6", "--m", "64", "--n", "2000", "--reps",
-      "60", "--delta", "1e-3", "--seed", "34"], "limit.csv"),
+    pytest.param(
+        ["limit-compare", "--rho", "0.6", "--m", "64", "--n", "2000",
+         "--reps", "60", "--delta", "1e-3", "--seed", "34"], "limit.csv",
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+            "the LAPACK Cholesky factor of the limit-law covariance has "
+            "bytes that depend on OPENBLAS_NUM_THREADS, which moves the "
+            "gaussian_grid row of limit-compare (variance "
+            "1.955309597923444 with 1 thread, 1.9553095979234456 with 2)"))),
 ], ids=["one_sample", "limit_compare"])
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, args, csv_name):
     src = os.path.dirname(os.path.dirname(experiments.__file__))

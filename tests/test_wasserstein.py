@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -126,6 +127,80 @@ def test_w2_nonnegative_and_zero_only_in_limit():
     for n in (1, 5, 100, 5000):
         x = np.sort(rng.standard_normal(n))
         assert w2sq_vs_gaussian(SortedSample(x)) > 0.0
+
+
+# --------------------------------------------------------------------------
+# cell tables and the one-sample kernel against 35-digit references
+# --------------------------------------------------------------------------
+
+_DPS = 35
+_TABLE_N = 10 ** 4  # every exact-table n below divides it
+
+
+def _mp_h(n):
+    """``h(i/n)`` for i = 0..n to 35 digits (Halley-refined quantiles)."""
+    with mpmath.workdps(_DPS):
+        low = [mpmath.mpf(0)]
+        for i in range(1, n // 2 + 1):
+            u = mpmath.mpf(i) / n
+            x = mpmath.mpf(float(ndtri(i / n)))
+            f = (mpmath.ncdf(x) - u) / mpmath.npdf(x)
+            x -= f / (1 + x * f / 2)
+            low.append(mpmath.npdf(x))
+    return low + low[:(n + 1) // 2][::-1]
+
+
+@pytest.fixture(scope="module")
+def mp_h():
+    """``n -> [h(i/n)]`` at 35 digits; the 1e4 table serves its divisors."""
+    table = _mp_h(_TABLE_N)
+
+    def h(n):
+        if _TABLE_N % n:
+            return _mp_h(n)
+        return table[::_TABLE_N // n]
+    return h
+
+
+def _mp_cells(h):
+    """Exact cell means ``n (h_{i-1} - h_i)`` and ``V_n = 1 - sum m_i^2/n``."""
+    n = len(h) - 1
+    with mpmath.workdps(_DPS):
+        m = [n * (a - b) for a, b in zip(h, h[1:])]
+        return m, 1 - mpmath.fsum(mi * mi for mi in m) / n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 10000])
+def test_cell_tables_match_35_digit_values(mp_h, n):
+    m, v = wasserstein._cell_tables(n)
+    want_m, want_v = _mp_cells(mp_h(n))
+    assert m.shape == (n,) and not m.flags.writeable
+    assert abs(v - want_v) <= 1e-13 * want_v, (v, want_v)
+    assert max(abs(a - b) for a, b in zip(m.tolist(), want_m)) <= 1e-14
+    assert np.array_equal(m, -m[::-1])  # exact mirror symmetry
+
+
+def _mp_w2sq(z, h):
+    """``W_2^2`` of the sorted float sample ``z`` from the 35-digit ``h``:
+    ``(1/n) sum z_i^2 + 2 sum z_i (h_i - h_{i-1}) + 1``, summed exactly."""
+    n = z.size
+    with mpmath.workdps(_DPS):
+        zs = [mpmath.mpf(v) for v in z.tolist()]
+        dh = [b - a for a, b in zip(h, h[1:])]
+        return (mpmath.fsum(v * v for v in zs) / n
+                + 2 * mpmath.fdot(zs, dh) + 1)
+
+
+@pytest.mark.parametrize("n, samples", [(1000, 40), (10000, 12)])
+def test_w2sq_vs_gaussian_matches_exact_sum(mp_h, n, samples):
+    h = mp_h(n)
+    errors = []
+    for rep in range(samples):
+        z = np.sort(standard_normals(substream(5, "one_sample", n, rep), n))
+        got = w2sq_vs_gaussian(SortedSample(z))
+        want = _mp_w2sq(z, h)
+        errors.append(float(abs(got - want) / want))
+    assert max(errors) <= 1e-13, max(errors)
 
 
 # --------------------------------------------------------------------------
