@@ -29,9 +29,10 @@ _FILE_KEYS = frozenset(_FIELDS) | {"n"}
 _FLAG_KEYS = tuple(k for k in _FIELDS if k not in ("experiment", "ns"))
 
 
-def _parse_ns(text: str) -> tuple[int, ...]:
+def _parse_ns(text: str) -> tuple[float, ...]:
+    # ExperimentConfig turns each entry into an int or rejects it
     try:
-        parts = tuple(int(float(p)) for p in str(text).split(",") if p != "")
+        parts = tuple(float(p) for p in str(text).split(",") if p != "")
     except ValueError:
         raise DomainError(f"--n must be an integer or comma list, got {text!r}")
     if not parts:
@@ -106,19 +107,16 @@ def _assemble(args: argparse.Namespace) -> ExperimentConfig:
             f"subcommand is {args.subcommand!r}")
     merged["experiment"] = experiment
 
+    # ``n`` beats ``ns``; ExperimentConfig checks that each entry is an int
     ns = merged.pop("ns", None)
     n = merged.pop("n", None)
+    if n is None:
+        n = ns
     if n is not None:
-        ns = _parse_ns(n) if isinstance(n, str) else (
-            tuple(int(v) for v in n) if isinstance(n, (list, tuple))
-            else (int(n),))
-    elif isinstance(ns, (list, tuple)):
-        ns = tuple(int(v) for v in ns)
-    if ns:
-        merged["ns"] = ns
+        merged["ns"] = _parse_ns(n) if isinstance(n, str) else (
+            tuple(n) if isinstance(n, (list, tuple)) else (n,))
     if "seed" not in merged:
         raise DomainError("an explicit --seed is required")
-    merged["seed"] = int(merged["seed"])
     return ExperimentConfig(**merged)
 
 

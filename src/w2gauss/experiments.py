@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -59,6 +58,19 @@ EXPERIMENTS = ("one_sample", "two_sample", "limit_compare",
 _NEEDS_RHO = ("two_sample", "limit_compare")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``.
+
+    An integral float (JSON's ``1e4``) converts; a bool, a fraction or
+    anything else raises :class:`DomainError` rather than being truncated.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; ``seed`` is always explicit.
@@ -86,10 +98,11 @@ class ExperimentConfig:
             raise DomainError(
                 f"experiment must be one of {EXPERIMENTS}, "
                 f"got {self.experiment!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
-                or not (0 <= self.seed < 2 ** 64):
+        for name in ("seed", "reps", "workers", "m", "m_sample"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if not (0 <= self.seed < 2 ** 64):
             raise DomainError("seed must be an explicit unsigned 64-bit int")
-        ns = tuple(int(n) for n in self.ns)
+        ns = tuple(_integer("n", n) for n in self.ns)
         if any(n < 1 for n in ns):
             raise DomainError("all n must be >= 1")
         object.__setattr__(self, "ns", ns)
@@ -126,7 +139,6 @@ class ExperimentConfig:
 # --------------------------------------------------------------------------
 
 _BLOCK_VALUES = 2 ** 17  # float64 values drawn per block (1 MiB)
-_WAITING = 2  # drawn blocks that may wait before the caller finishes one
 
 
 def _block_rows(n: int, pairs: bool) -> int:
@@ -151,13 +163,19 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
     block: it re-keys one private Philox per replication, writes the raw
     words into the block and converts them to 53-bit open uniforms in one
     pass.  The normal transform, sort, sortedness check and W2 reduction
-    ("finishing") run inline when ``workers == 1``.  Otherwise
-    ``min(workers - 1, number of blocks)`` threads finish drawn blocks,
-    oldest first, and the calling thread finishes the oldest itself
-    whenever ``_WAITING`` drawn blocks are already waiting, and whatever
-    still waits once all are drawn.  Block buffers come from a free list:
-    at most ``workers + 1`` are in use at once.  An error in a block raises
-    here, wherever the block was finished, after every thread has stopped.
+    ("finishing") run inline when ``workers == 1``.  Otherwise a pool of
+    ``threads = min(workers - 1, number of blocks)`` threads finishes
+    them: the calling thread submits each block it draws to the pool
+    while at most ``threads + 1`` blocks are pending there, and otherwise
+    finishes the block itself.  Before each draw it collects the finished
+    blocks at the head of the queue and keeps their buffers for reuse, so
+    at most ``workers + 2`` block buffers exist.  Once every block is
+    drawn, the calling thread finishes each pending block the pool has not
+    started, newest first, while the pool works from the oldest.  An error
+    in a block raises here, wherever the block was finished: from the
+    pool, before the next draw once the blocks ahead of it are done.  It
+    cancels the blocks still queued, and raises after every pool thread
+    has stopped.
 
     Each block's W2 values are one row-wise reduction
     (:func:`wasserstein._w2sq_rows`) of the rank-wise gaps: ``Z - m``
@@ -167,7 +185,8 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
     Should rounding leave a row out of order after the transform, the
     block is sorted again, which gives the per-replication loop's rows.
     """
-    n, reps, workers = int(n), int(reps), int(workers)
+    n, reps, workers = (_integer("n", n), _integer("reps", reps),
+                        _integer("workers", workers))
     if n < 1 or reps < 1 or workers < 1:
         raise DomainError(f"need n, reps, workers >= 1; got n={n}, "
                           f"reps={reps}, workers={workers}")
@@ -181,12 +200,11 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
     starts = range(0, reps, rows)
     out = np.empty(reps)
 
-    def draw(start: int, buffer: np.ndarray) -> tuple[int, np.ndarray]:
+    def draw(start: int, buffer: np.ndarray) -> None:
         # u[0] holds each replication's first n uniforms, u[1] (pairs) the
         # next n: X's, then Z's
         u = buffer[:, :reps - start]
         _keyed_uniforms(keys[start:start + u.shape[1]], u)
-        return start, buffer
 
     def finish(start: int, buffer: np.ndarray) -> None:
         u = buffer[:, :reps - start]
@@ -212,66 +230,39 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
     if threads == 0:
         buffer = new_buffer()
         for start in starts:
-            finish(*draw(start, buffer))
+            draw(start, buffer)
+            finish(start, buffer)
         return out
 
-    # reused buffers save a page fault per 4 KiB of each new block
+    # submitted blocks with their starts and buffers, oldest first, and the
+    # buffers of finished blocks: a reused buffer saves a page fault per 4 KiB
+    pending = collections.deque()
     free = []
-    waiting = collections.deque()  # drawn blocks, oldest first
-    cond = threading.Condition()
-    stop = drawn = False
-
-    def finishing_loop() -> None:
-        nonlocal stop
-        while True:
-            with cond:
-                while not (waiting or drawn or stop):
-                    cond.wait()
-                if stop or not waiting:
-                    return
-                block = waiting.popleft()
-            try:
-                finish(*block)
-            except BaseException:
-                with cond:
-                    stop = True
-                raise
-            with cond:
-                free.append(block[1])
-
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(finishing_loop) for _ in range(threads)]
         try:
             for start in starts:
-                with cond:
-                    if stop:
-                        break
-                    own = waiting.popleft() if len(waiting) >= _WAITING \
-                        else None
-                    spare = free.pop() if free and own is None else None
-                if own is not None:
-                    finish(*own)
-                    spare = own[1]
-                block = draw(start, new_buffer() if spare is None else spare)
-                with cond:
-                    waiting.append(block)
-                    cond.notify()
-            while True:  # all drawn: finish what still waits
-                with cond:
-                    if stop or not waiting:
-                        break
-                    own = waiting.popleft()
-                finish(*own)
+                while pending and pending[0][0].done():
+                    future, _, buffer = pending.popleft()
+                    future.result()
+                    free.append(buffer)
+                buffer = free.pop() if free else new_buffer()
+                draw(start, buffer)
+                if len(pending) <= threads + 1:
+                    pending.append((pool.submit(finish, start, buffer),
+                                    start, buffer))
+                else:
+                    finish(start, buffer)
+                    free.append(buffer)
+            # all drawn: the pool takes queued blocks from the head, the
+            # calling thread takes those the pool has not started from the tail
+            for future, start, buffer in reversed(pending):
+                if future.cancel():
+                    finish(start, buffer)
+                else:
+                    future.result()
         except BaseException:
-            with cond:
-                stop = True
+            pool.shutdown(cancel_futures=True)
             raise
-        finally:
-            with cond:
-                drawn = True
-                cond.notify_all()
-        for future in futures:
-            future.result()
     return out
 
 

@@ -37,9 +37,18 @@ def test_config_validation_rejections():
         dict(ok, seed=-1),
         dict(ok, seed=True),
         dict(ok, seed=2 ** 64),
+        dict(ok, seed=7.9),
         dict(ok, reps=0),
+        dict(ok, reps=2.5),
+        dict(ok, reps=True),
+        dict(ok, reps="4"),
         dict(ok, workers=0),
+        dict(ok, workers=1.9),
+        dict(ok, m=True),
+        dict(ok, m_sample=1e4 + 0.5),
         dict(ok, ns=()),
+        dict(ok, ns=(64.9,)),
+        dict(ok, ns=(False,)),
         dict(experiment="two_sample", seed=1, ns=(100,), reps=4),  # no rho
         dict(experiment="two_sample", seed=1, ns=(100,), reps=4, rho=1.5),
         dict(experiment="limit_compare", seed=1, ns=(100,), reps=4, rho=0.0),
@@ -47,6 +56,14 @@ def test_config_validation_rejections():
     for kwargs in bad_cases:
         with pytest.raises(DomainError):
             ExperimentConfig(**kwargs)
+    # integral floats (JSON's 1e4) are counts; they hash as the ints do
+    cfg = ExperimentConfig(**dict(ok, ns=(1e2,), reps=4.0, workers=2.0,
+                                  m_sample=1e4, seed=1.0))
+    assert (cfg.ns, cfg.reps, cfg.workers, cfg.m_sample, cfg.seed) == \
+        ((100,), 4, 2, 10 ** 4, 1)
+    assert all(type(v) is int for v in (*cfg.ns, cfg.reps, cfg.workers,
+                                        cfg.m_sample, cfg.seed))
+    assert cfg.config_hash() == ExperimentConfig(**ok).config_hash()
     # rho = 0 limit comparison allowed only as an explicit divergence demo
     ExperimentConfig(experiment="limit_compare", seed=1, ns=(100,), reps=4,
                      rho=0.0, divergence_demo=True)
@@ -307,6 +324,46 @@ def test_replicate_w2sq_error_on_either_thread_raises(monkeypatch, nan_on):
     assert threading.active_count() == before
 
 
+def test_replicate_w2sq_caller_finishes_the_tail(monkeypatch):
+    # 3 blocks, all submitted to a slow pool: once the last one is drawn,
+    # the calling thread finishes the blocks the pool has not started
+    monkeypatch.setattr(experiments, "_BLOCK_VALUES", 2 ** 10)
+    events = []
+    monkeypatch.setattr(experiments, "_keyed_uniforms", _traced(
+        experiments._keyed_uniforms, events, "draw"))
+    monkeypatch.setattr(experiments, "_w2sq_rows", _traced(
+        experiments._w2sq_rows, events, "finish", slow_on="pool"))
+    assert experiments._block_rows(64, False) == 16
+    got = replicate_w2sq(13, "generic", 64, 48, workers=2)
+    assert events.count(("draw", "main")) == 3
+    last_draw = len(events) - 1 - events[::-1].index(("draw", "main"))
+    assert ("finish", "main") in events[last_draw:]
+    assert sum(label == "finish" for label, _ in events) == 3
+    assert got.tobytes() == _loop_w2sq(13, "generic", 64, 48, None).tobytes()
+
+
+def test_replicate_w2sq_stops_drawing_after_a_failed_block(monkeypatch):
+    # 63 blocks; the pool's first block fails while the caller's draws are
+    # slow, so the error must surface within a few draws, not at the end
+    monkeypatch.setattr(experiments, "_BLOCK_VALUES", 2 ** 10)
+    events = []
+    monkeypatch.setattr(experiments, "_keyed_uniforms", _traced(
+        experiments._keyed_uniforms, events, "draw", slow_on="main"))
+    real_ndtri = streams.ndtri
+
+    def nan_ndtri(u, out=None):
+        res = real_ndtri(u, out=out)
+        if _thread_kind() == "pool":
+            res[..., 0, 3] = np.nan
+        return res
+
+    monkeypatch.setattr(streams, "ndtri", nan_ndtri)
+    assert -(-1000 // experiments._block_rows(64, False)) == 63
+    with pytest.raises(DomainError, match="finite"):
+        replicate_w2sq(5, "generic", 64, 1000, workers=2)
+    assert events.count(("draw", "main")) <= 4
+
+
 def test_replicate_w2sq_stress_more_workers_than_cores(monkeypatch):
     # 100 four-row blocks through 5 workers with a 1 us switch interval:
     # a block lost, finished twice or written to the wrong slot changes
@@ -354,7 +411,8 @@ def test_replicate_w2sq_bounds_its_threads(monkeypatch):
 def test_replicate_w2sq_validation():
     for kwargs in (dict(n=0), dict(reps=0), dict(workers=0), dict(rho=1.0),
                    dict(rho=float("nan")), dict(domain="nope"),
-                   dict(seed=-1)):
+                   dict(seed=-1), dict(n=8.5), dict(reps=True),
+                   dict(workers=1.9)):
         args = dict(seed=1, domain="generic", n=8, reps=2) | kwargs
         with pytest.raises(DomainError):
             replicate_w2sq(**args)
@@ -479,6 +537,15 @@ def test_cli_config_file_and_precedence(tmp_path, capsys):
     doc = json.loads(open(tmp_path / "cli_out" / "two_sample.json").read())
     assert doc["rows"][0]["rho"] == 0.7          # CLI beats file
     assert not os.path.exists(tmp_path / "file_out")
+    # a null ``n`` is absent: the file's ``ns`` stands
+    cfg_path.write_text(json.dumps({"seed": 11, "n": None, "ns": [128],
+                                    "reps": 2, "rho": 0.3}))
+    rc = main(["two-sample", "--config", str(cfg_path),
+               "--out", str(tmp_path / "null_n")])
+    assert rc == 0
+    capsys.readouterr()
+    doc = json.loads(open(tmp_path / "null_n" / "two_sample.json").read())
+    assert [r["n"] for r in doc["rows"]] == [128]
 
 
 def test_cli_subcommand_config_mismatch(tmp_path, capsys):
@@ -505,6 +572,34 @@ def test_cli_rho_zero_guard(tmp_path, capsys):
                "--seed", "5", "--out", str(tmp_path / "q")])
     assert rc == 2
     assert "divergence" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_cli_counts_must_be_integers(tmp_path, capsys):
+    # a count is never truncated: 2.5 replications, 1.9 workers, seed 7.9
+    # and n = 64.9 are errors; integral floats such as JSON's 4.0 are ints
+    cfg_path = tmp_path / "cfg.json"
+    for key, value in (("reps", 2.5), ("reps", True), ("workers", 1.9),
+                       ("seed", 7.9), ("n", [64.9])):
+        cfg_path.write_text(json.dumps({"seed": 7, "reps": 4, key: value}))
+        argv = ["one-sample", "--config", str(cfg_path),
+                "--out", str(tmp_path / "bad")]
+        rc = main(argv if key == "n" else argv + ["--n", "64"])
+        assert rc == 2, (key, value)
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "DomainError" and key in doc["message"]
+    rc = main(["one-sample", "--n", "64.9", "--reps", "4", "--seed", "7",
+               "--out", str(tmp_path / "bad")])
+    assert rc == 2
+    assert "64.9" in json.loads(capsys.readouterr().err)["message"]
+    assert not os.path.exists(tmp_path / "bad")
+    cfg_path.write_text(json.dumps({"seed": 7, "reps": 4.0}))
+    rc = main(["one-sample", "--config", str(cfg_path), "--n", "1e2",
+               "--out", str(tmp_path / "ok")])
+    assert rc == 0
+    capsys.readouterr()
+    header, row = open(tmp_path / "ok" / "one_sample.csv").read().split()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (cells["n"], cells["reps"], cells["seed"]) == ("100", "4", "7")
 
 
 def test_cli_comma_separated_ns(tmp_path, capsys):
