@@ -194,7 +194,7 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
     if pairs:
         rho = _pair_rho(rho)
     else:
-        m, within = _cell_tables(n)
+        m, _, within = _cell_tables(n)
     keys = _philox_keys(seed, domain, n, range(reps))
     rows = min(_block_rows(n, pairs), reps)
     starts = range(0, reps, rows)

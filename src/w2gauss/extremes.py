@@ -256,38 +256,36 @@ def resolve_index_variant(n: int = 10 ** 6, ks: tuple[int, ...] = (0, 1, 2, 5),
     }
 
 
-def _beta_raw_moments(i: np.ndarray, n: int, r: int) -> np.ndarray:
-    """``E U_(i)^r`` for ``U_(i) ~ Beta(i, n-i+1)``: prod_j (i+j)/(n+1+j)."""
-    out = np.ones(i.shape, dtype=float)
-    for j in range(r):
-        out = out * (i + j) / (n + 1.0 + j)
-    return out
-
-
 def uniform_quantile_central_moment(n: int, u, p: int):
     """Exact ``E(sqrt(n)(U_(ceil(nu)) - u))^p / (u(1-u))^{p/2}``, p in {2, 4}.
 
-    Computed from closed-form Beta raw moments; no simulation.  Accepts an
-    array of u values.
+    ``U_(i) ~ Beta(a, n + 1 - a)`` with ``a = i``: the moment expands about
+    the Beta mean with the closed-form cumulants ``k2, k3, k4`` and ``d =
+    a/(n+1) - u`` (taken from the nearer tail, so it does not cancel):
+    ``E(U-u)^2 = k2 + d^2``, ``E(U-u)^4 = k4 + 3 k2^2 + 4 d k3 + 6 d^2 k2 +
+    d^4``.  No simulation; ~1e-15 relative for n up to 1e10 (the tests hold
+    it to 1e-12 against exact rationals).  Accepts an array of u values.
     """
     if p not in (2, 4):
         raise DomainError("only the even powers p = 2 and p = 4 are supported")
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
         raise DomainError("u must lie strictly in (0,1)")
-    i = np.ceil(n * u_arr)
-    if np.any(i < 1) or np.any(i > n):
+    a = np.ceil(n * u_arr)
+    if np.any(a < 1) or np.any(a > n):
         raise DomainError("ceil(n u) must land in 1..n")
-    m1 = _beta_raw_moments(i, n, 1)
-    m2 = _beta_raw_moments(i, n, 2)
+    s = n + 1.0
+    b = s - a
+    d = np.where(u_arr <= 0.5, a / s - u_arr, (1.0 - u_arr) - b / s)
+    ab = a * b
+    k2 = ab / (s * s * (s + 1.0))
     norm = u_arr * (1.0 - u_arr)
     if p == 2:
-        cm2 = m2 - 2.0 * u_arr * m1 + u_arr ** 2
-        out = n * cm2 / norm
+        out = n * (k2 + d * d) / norm
     else:
-        m3 = _beta_raw_moments(i, n, 3)
-        m4 = _beta_raw_moments(i, n, 4)
-        cm4 = (m4 - 4.0 * u_arr * m3 + 6.0 * u_arr ** 2 * m2
-               - 4.0 * u_arr ** 3 * m1 + u_arr ** 4)
+        k3 = 2.0 * ab * (b - a) / (s ** 3 * (s + 1.0) * (s + 2.0))
+        k4 = (6.0 * ab * ((a - b) ** 2 * (s + 1.0) - ab * (s + 2.0))
+              / (s ** 4 * (s + 1.0) ** 2 * (s + 2.0) * (s + 3.0)))
+        cm4 = k4 + 3.0 * k2 * k2 + d * (4.0 * k3 + d * (6.0 * k2 + d * d))
         out = n * n * cm4 / norm ** 2
     return float(out[0]) if np.isscalar(u) or np.ndim(u) == 0 else out

@@ -1,6 +1,7 @@
 """Upper order-statistic moments, the Beta sampling oracle, both index variants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,6 +176,38 @@ def test_uniform_quantile_fourth_moment_normal_limit():
     # normalized 4th moment tends to the Gaussian value 3
     p4 = uniform_quantile_central_moment(10 ** 4, 0.5, 4)
     assert p4 == pytest.approx(3.0, abs=0.1)
+
+
+def _exact_uniform_quantile_moment(n, u, p):
+    """The normalized p-th moment about u in exact rationals, at the rank
+    ``ceil(n u)`` taken in float as the package takes it: ``100 * 0.9``
+    rounds to 90, while the exact ``100 * Fraction(0.9)`` lies above 90."""
+    i = math.ceil(n * u)
+    uq = Fraction(u)
+    raw = [Fraction(1)]
+    for r in range(p):  # E U^r = prod_{j<r} (i + j) / (n + 1 + j)
+        raw.append(raw[-1] * Fraction(i + r, n + 1 + r))
+    central = sum(math.comb(p, k) * raw[k] * (-uq) ** (p - k)
+                  for k in range(p + 1))
+    return central * Fraction(n) ** (p // 2) / (uq * (1 - uq)) ** (p // 2)
+
+
+def test_uniform_quantile_moments_match_exact_fractions():
+    us = (1e-9, 1e-6, 1e-3, 0.1, 0.2763932022500210, 0.5, 0.9, 0.999,
+          1.0 - 1e-6, 1.0 - 1e-9)
+    for n in (7, 100, 10 ** 3, 10 ** 5, 10 ** 8, 10 ** 10):
+        for u in us:
+            if not 1 <= math.ceil(n * u) <= n:
+                continue
+            for p in (2, 4):
+                want = _exact_uniform_quantile_moment(n, u, p)
+                got = uniform_quantile_central_moment(n, u, p)
+                err = float(abs(Fraction(got) - want) / want)
+                assert err <= 1e-12, (n, u, p, got, float(want))
+    # the array form gives the scalar values
+    grid = np.array(us[2:8])
+    assert uniform_quantile_central_moment(10 ** 8, grid, 4).tolist() == \
+        [uniform_quantile_central_moment(10 ** 8, u, 4) for u in grid]
 
 
 def test_uniform_quantile_moment_domain():

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 from scipy.special import ndtri
 
@@ -137,47 +138,63 @@ _DPS = 35
 _TABLE_N = 10 ** 4  # every exact-table n below divides it
 
 
-def _mp_h(n):
-    """``h(i/n)`` for i = 0..n to 35 digits (Halley-refined quantiles)."""
+def _mp_quantile(u):
+    """``Phi^{-1}(u)`` to 35 digits: one Halley step from the float value."""
+    x = mpmath.mpf(float(ndtri(float(u))))
+    f = (mpmath.ncdf(x) - u) / mpmath.npdf(x)
+    return x - f / (1 + x * f / 2)
+
+
+def _mp_tables(n):
+    """``h(i/n)`` and ``A2(i/n) = i/n - Phi^{-1}(i/n) h(i/n)`` for i = 0..n
+    to 35 digits, the upper half mirrored from the lower."""
     with mpmath.workdps(_DPS):
-        low = [mpmath.mpf(0)]
+        h, a2 = [mpmath.mpf(0)], [mpmath.mpf(0)]
         for i in range(1, n // 2 + 1):
             u = mpmath.mpf(i) / n
-            x = mpmath.mpf(float(ndtri(i / n)))
-            f = (mpmath.ncdf(x) - u) / mpmath.npdf(x)
-            x -= f / (1 + x * f / 2)
-            low.append(mpmath.npdf(x))
-    return low + low[:(n + 1) // 2][::-1]
+            x = _mp_quantile(u)
+            h.append(mpmath.npdf(x))
+            a2.append(u - x * h[-1])
+        low = (n + 1) // 2
+        return h + h[:low][::-1], a2 + [1 - a for a in a2[:low][::-1]]
 
 
 @pytest.fixture(scope="module")
-def mp_h():
-    """``n -> [h(i/n)]`` at 35 digits; the 1e4 table serves its divisors."""
-    table = _mp_h(_TABLE_N)
+def mp_tables():
+    """``n -> (h, A2)`` at 35 digits; the 1e4 tables serve its divisors."""
+    h, a2 = _mp_tables(_TABLE_N)
 
-    def h(n):
+    def tables(n):
         if _TABLE_N % n:
-            return _mp_h(n)
-        return table[::_TABLE_N // n]
-    return h
+            return _mp_tables(n)
+        step = _TABLE_N // n
+        return h[::step], a2[::step]
+    return tables
 
 
-def _mp_cells(h):
-    """Exact cell means ``n (h_{i-1} - h_i)`` and ``V_n = 1 - sum m_i^2/n``."""
+def _mp_cells(h, a2):
+    """Exact cell means ``m_i = n (h_{i-1} - h_i)``, cell variances
+    ``v_i = n (A2_i - A2_{i-1}) - m_i^2`` and ``V_n = 1 - sum m_i^2/n``."""
     n = len(h) - 1
     with mpmath.workdps(_DPS):
         m = [n * (a - b) for a, b in zip(h, h[1:])]
-        return m, 1 - mpmath.fsum(mi * mi for mi in m) / n
+        v = [n * (b - a) - mi * mi for a, b, mi in zip(a2, a2[1:], m)]
+        return m, v, 1 - mpmath.fsum(mi * mi for mi in m) / n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 10000])
-def test_cell_tables_match_35_digit_values(mp_h, n):
-    m, v = wasserstein._cell_tables(n)
-    want_m, want_v = _mp_cells(mp_h(n))
-    assert m.shape == (n,) and not m.flags.writeable
-    assert abs(v - want_v) <= 1e-13 * want_v, (v, want_v)
+def test_cell_tables_match_35_digit_values(mp_tables, n):
+    m, v, total = wasserstein._cell_tables(n)
+    want_m, want_v, want_total = _mp_cells(*mp_tables(n))
+    assert m.shape == v.shape == (n,)
+    assert not (m.flags.writeable or v.flags.writeable)
+    assert abs(total - want_total) <= 1e-13 * want_total, (total, want_total)
     assert max(abs(a - b) for a, b in zip(m.tolist(), want_m)) <= 1e-14
+    # the float cell boundaries put an error of ~4e-16 n on each variance
+    v_err = max(abs(a - b) / b for a, b in zip(v.tolist(), want_v))
+    assert v_err <= 1e-15 * max(n, 10), v_err
     assert np.array_equal(m, -m[::-1])  # exact mirror symmetry
+    assert np.array_equal(v, v[::-1])
 
 
 def _mp_w2sq(z, h):
@@ -192,8 +209,8 @@ def _mp_w2sq(z, h):
 
 
 @pytest.mark.parametrize("n, samples", [(1000, 40), (10000, 12)])
-def test_w2sq_vs_gaussian_matches_exact_sum(mp_h, n, samples):
-    h = mp_h(n)
+def test_w2sq_vs_gaussian_matches_exact_sum(mp_tables, n, samples):
+    h = mp_tables(n)[0]
     errors = []
     for rep in range(samples):
         z = np.sort(standard_normals(substream(5, "one_sample", n, rep), n))
@@ -316,6 +333,79 @@ def test_extreme_mass_below_point_one_at_1e5():
     assert _extremes_mc(10 ** 5) < 0.1
 
 
+def _mp_pieces(s, h, a2, C=1.0, theta=2.0, gamma=2.0):
+    """The pieces and half integral of ``tail_decomposition(s)`` to 35
+    digits.  Whole cells use the exact cell table; a partial interval
+    ``[a, b]`` uses ``z^2 (b - a) - 2 z (h(a) - h(b)) + A2(b) - A2(a)``."""
+    n, z = s.n, s.values.tolist()
+    logn = math.log(n)
+    K = int(math.floor(C * logn ** theta))
+    cut_a = 1.0 - 1.0 / (n * logn ** gamma)
+    i_half = (n + 1) // 2
+    m, v, _ = _mp_cells(h, a2)
+    with mpmath.workdps(_DPS):
+        cells = {i: ((mpmath.mpf(z[i]) - m[i]) ** 2 + v[i]) / n
+                 for i in range(i_half, n)}
+        # [cut_a, 1]: 1 - A2(cut_a) = q + x h(cut_a), x = Phi^{-1}(cut_a)
+        q = 1 - mpmath.mpf(cut_a)
+        x = -_mp_quantile(q)
+        hx = mpmath.npdf(x)
+        zn = mpmath.mpf(z[-1])
+        a_n = zn * zn * q - 2 * zn * hx + q + x * hx
+        partial = mpmath.mpf(0)
+        if n % 2:  # [1/2, i_half/n]: h(1/2) = phi(0), A2(1/2) = 1/2
+            zm = mpmath.mpf(z[i_half - 1])
+            partial = (zm * zm / (2 * n)
+                       - 2 * zm * (mpmath.npdf(0) - h[i_half])
+                       + a2[i_half] - mpmath.mpf(1) / 2)
+        return {"a_n": a_n, "b_n": cells[n - 1] - a_n,
+                "c_n": mpmath.fsum(cells[i] for i in range(n - K, n - 1)),
+                "d_n": partial + mpmath.fsum(cells[i]
+                                             for i in range(i_half, n - K)),
+                "half_total": partial + mpmath.fsum(cells.values())}
+
+
+@pytest.mark.parametrize("n", [1000, 1001, 10000])
+def test_tail_decomposition_pieces_match_35_digit_values(mp_tables, n):
+    tables = mp_tables(n)
+    for rep in range(4):
+        s = _sample(n, rep)
+        d = tail_decomposition(s)
+        for name, want in _mp_pieces(s, *tables).items():
+            err = float(abs(getattr(d, name) - want) / want)
+            assert err <= 1e-13, (n, rep, name, err)
+
+
+_HALF_SIZES = st.integers(64, 20000)
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=_HALF_SIZES, seed=_SEEDS)
+@example(n=64, seed=0)
+@example(n=20000, seed=0)
+@example(n=19999, seed=0)
+def test_tail_pieces_partition_the_half_integral(n, seed):
+    d = tail_decomposition(_sample(n, 0, seed))
+    total = d.a_n + d.b_n + d.c_n + d.d_n
+    assert abs(total - d.half_total) <= 1e-14 * d.half_total
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=_HALF_SIZES, seed=_SEEDS)
+@example(n=65, seed=0)
+@example(n=20000, seed=0)
+@example(n=19999, seed=0)
+def test_upper_halves_of_sample_and_mirror_add_up_to_the_distance(n, seed):
+    # the mirror -Z_(n+1-i) has Z's lower half integral as its upper half
+    s = _sample(n, 0, seed)
+    mirror = SortedSample(-s.values[::-1])
+    got = (tail_decomposition(s).half_total
+           + tail_decomposition(mirror).half_total)
+    want = w2sq_vs_gaussian(s)
+    assert abs(got - want) <= 1e-13 * want
+
+
 # --------------------------------------------------------------------------
 # the one antiderivative evaluator against the former scalar formulas
 # --------------------------------------------------------------------------
@@ -335,49 +425,6 @@ def _ref_a2(u):
     return u - x * float(std_normal_pdf(x))
 
 
-def _ref_cell_integral(z, a, b):
-    i1 = _ref_h(a) - _ref_h(b)
-    i2 = _ref_a2(b) - _ref_a2(a)
-    return z * z * (b - a) - 2.0 * z * i1 + i2
-
-
-def _ref_tables(n):
-    i = np.arange(0, n + 1)
-    lower = np.minimum(i, n - i)
-    u_low = lower / n
-    interior = u_low > 0
-    x = np.zeros(n + 1)
-    x[interior] = ndtri(u_low[interior])
-    H = np.where(interior, np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
-                 0.0)
-    A2_low = np.where(interior, u_low - x * H, 0.0)
-    A2 = np.where(i * 2 <= n, A2_low, 1.0 - A2_low)
-    return H, A2, np.diff(H)
-
-
-def _ref_pieces(s, C=1.0, theta=2.0, gamma=2.0):
-    n, z = s.n, s.values
-    logn = math.log(n)
-    K = int(math.floor(C * logn ** theta))
-    H, A2, dH = _ref_tables(n)
-    cells = z * z / n + 2.0 * z * dH + np.diff(A2)
-    a_n = _ref_cell_integral(float(z[-1]), 1.0 - 1.0 / (n * logn ** gamma),
-                             1.0)
-    i_half = math.ceil(n / 2)
-    partial = _ref_cell_integral(float(z[i_half - 1]), 0.5, i_half / n)
-    return {"a_n": a_n, "b_n": float(cells[-1]) - a_n,
-            "c_n": math.fsum(cells[n - K:n - 1]),
-            "d_n": partial + math.fsum(cells[i_half:n - K]),
-            "half_total": partial + math.fsum(cells[i_half:])}
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 1001, 20000])
-def test_boundary_tables_match_former_construction(n):
-    got = wasserstein._boundary_tables(n)
-    for table, want in zip(got, _ref_tables(n)):
-        assert table.tobytes() == want.tobytes()
-
-
 def test_quantile_integrals_within_one_ulp_of_scalar_formulas():
     intervals = [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.0, 0.3), (0.7, 1.0),
                  (0.45, 0.55), (0.5, 0.5), (0.1, 0.3), (0.6, 0.99),
@@ -388,15 +435,6 @@ def test_quantile_integrals_within_one_ulp_of_scalar_formulas():
                            (_ref_a2(a), _ref_a2(b)))):
             assert abs(got - (ends[1] - ends[0])) <= math.ulp(max(ends)), \
                 (a, b)
-
-
-def test_tail_decomposition_pieces_match_scalar_formulas():
-    for n, rep in [(10 ** 4, 0), (10 ** 3, 1), (10 ** 4, 1), (10 ** 5, 1),
-                   (10 ** 4, 2), (1001, 3)]:
-        s = _sample(n, rep)
-        d = tail_decomposition(s)
-        for name, want in _ref_pieces(s).items():
-            assert getattr(d, name) == max(0.0, want), (n, rep, name)
 
 
 # --------------------------------------------------------------------------
