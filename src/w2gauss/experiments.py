@@ -8,20 +8,18 @@ counter-derived substream keyed ``(seed, domain, n, rep)`` and writes to
 a preallocated slot, so scheduling cannot reorder or perturb anything.
 Every row carries ``(seed, reps, config_hash)`` for provenance.
 
-All seeded W2 replications, in the runners, the release gate and the
-demos, go through one engine, :func:`replicate_w2sq`.
+All seeded replications, in the runners, the release gate and the demos,
+go through one loop, :func:`streams._replicate`.
 """
 
 from __future__ import annotations
 
-import collections
 import csv
 import dataclasses
 import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,8 +32,8 @@ from .limitlaw import (MECHANISMS, _draw_summary, build_grid, ks_two_sample,
                        sample_limit_law)
 from .special import (as_correlation, h_tail_expansion, psi, psi_expansion,
                       quantile_tail_expansion, scaled_tail, std_normal_quantile)
-from .streams import (_correlate_inplace, _keyed_uniforms, _normals_inplace,
-                      _pair_rho, _philox_keys)
+from .streams import (_correlate_inplace, _integer, _normals_inplace,
+                      _pair_rho, _philox_keys, _replicate)
 from .wasserstein import _cell_tables, _check_sorted_rows, _w2sq_rows
 
 __all__ = [
@@ -56,19 +54,6 @@ EXPERIMENTS = ("one_sample", "two_sample", "limit_compare",
                "expansions", "integrals", "moments")
 
 _NEEDS_RHO = ("two_sample", "limit_compare")
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int``.
-
-    An integral float (JSON's ``1e4``) converts; a bool, a fraction or
-    anything else raises :class:`DomainError` rather than being truncated.
-    """
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,14 +123,6 @@ class ExperimentConfig:
 # replication engine
 # --------------------------------------------------------------------------
 
-_BLOCK_VALUES = 2 ** 17  # float64 values drawn per block (1 MiB)
-
-
-def _block_rows(n: int, pairs: bool) -> int:
-    """Replications per block: ``_BLOCK_VALUES`` values, at least one row."""
-    return max(1, _BLOCK_VALUES // (n * (2 if pairs else 1)))
-
-
 def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
                    rho: float | None = None, workers: int = 1) -> np.ndarray:
     """``W_2^2`` of replications ``0 .. reps-1``, one value per replication.
@@ -157,33 +134,17 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
     :func:`w2sq_two_sample`.  The values are bit-for-bit those of that
     per-replication loop, at every ``workers``.
 
-    The Philox keys of all ``reps`` substreams are derived up front in
-    one vectorised pass (:func:`streams._philox_keys`).  Replications run
-    in blocks of about 2^17 numbers (1 MiB).  The calling thread draws each
-    block: it re-keys one private Philox per replication, writes the raw
-    words into the block and converts them to 53-bit open uniforms in one
-    pass.  The normal transform, sort, sortedness check and W2 reduction
-    ("finishing") run inline when ``workers == 1``.  Otherwise a pool of
-    ``threads = min(workers - 1, number of blocks)`` threads finishes
-    them: the calling thread submits each block it draws to the pool
-    while at most ``threads + 1`` blocks are pending there, and otherwise
-    finishes the block itself.  Before each draw it collects the finished
-    blocks at the head of the queue and keeps their buffers for reuse, so
-    at most ``workers + 2`` block buffers exist.  Once every block is
-    drawn, the calling thread finishes each pending block the pool has not
-    started, newest first, while the pool works from the oldest.  An error
-    in a block raises here, wherever the block was finished: from the
-    pool, before the next draw once the blocks ahead of it are done.  It
-    cancels the blocks still queued, and raises after every pool thread
-    has stopped.
-
-    Each block's W2 values are one row-wise reduction
-    (:func:`wasserstein._w2sq_rows`) of the rank-wise gaps: ``Z - m``
-    against the cell means of :func:`wasserstein._cell_tables`, or
-    ``X - Y`` for pairs.  One-sample blocks are sorted as uniforms, before
-    ``ndtri``: the transform is increasing and runs faster on sorted input.
-    Should rounding leave a row out of order after the transform, the
-    block is sorted again, which gives the per-replication loop's rows.
+    The Philox keys of all ``reps`` substreams are derived up front in one
+    vectorised pass (:func:`streams._philox_keys`); :func:`streams._replicate`
+    runs the block pipeline, finishing each block with the normal transform,
+    sort, sortedness check and W2 reduction.  Each block's W2 values are one
+    row-wise reduction (:func:`wasserstein._w2sq_rows`) of the rank-wise
+    gaps: ``Z - m`` against the cell means of
+    :func:`wasserstein._cell_tables`, or ``X - Y`` for pairs.  One-sample
+    blocks are sorted as uniforms, before ``ndtri``: the transform is
+    increasing and runs faster on sorted input.  Should rounding leave a
+    row out of order after the transform, the block is sorted again, which
+    gives the per-replication loop's rows.
     """
     n, reps, workers = (_integer("n", n), _integer("reps", reps),
                         _integer("workers", workers))
@@ -195,75 +156,23 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
         rho = _pair_rho(rho)
     else:
         m, _, within = _cell_tables(n)
-    keys = _philox_keys(seed, domain, n, range(reps))
-    rows = min(_block_rows(n, pairs), reps)
-    starts = range(0, reps, rows)
-    out = np.empty(reps)
 
-    def draw(start: int, buffer: np.ndarray) -> None:
-        # u[0] holds each replication's first n uniforms, u[1] (pairs) the
-        # next n: X's, then Z's
-        u = buffer[:, :reps - start]
-        _keyed_uniforms(keys[start:start + u.shape[1]], u)
-
-    def finish(start: int, buffer: np.ndarray) -> None:
-        u = buffer[:, :reps - start]
+    def finish(u: np.ndarray) -> np.ndarray:
+        # u[0]: each replication's first n uniforms (X's); u[1], pairs: Z's
         if pairs:
             _normals_inplace(u)
             _correlate_inplace(u[0], u[1], rho)  # u[1] becomes Y
             s = np.sort(u, axis=2)
-        else:
-            s = _normals_inplace(np.sort(u, axis=2))
-            if not (s[..., 1:] >= s[..., :-1]).all():
-                s = np.sort(s, axis=2)
+            _check_sorted_rows(s.reshape(-1, n))
+            return _w2sq_rows(np.subtract(s[0], s[1], out=s[0]))
+        s = _normals_inplace(np.sort(u, axis=2))
+        if not (s[..., 1:] >= s[..., :-1]).all():
+            s = np.sort(s, axis=2)
         _check_sorted_rows(s.reshape(-1, n))
-        if pairs:
-            vals = _w2sq_rows(np.subtract(s[0], s[1], out=s[0]))
-        else:
-            vals = _w2sq_rows(np.subtract(s[0], m, out=s[0]), within)
-        out[start:start + len(vals)] = vals
+        return _w2sq_rows(np.subtract(s[0], m, out=s[0]), within)
 
-    def new_buffer() -> np.ndarray:
-        return np.empty((2 if pairs else 1, rows, n))
-
-    threads = min(workers - 1, len(starts))
-    if threads == 0:
-        buffer = new_buffer()
-        for start in starts:
-            draw(start, buffer)
-            finish(start, buffer)
-        return out
-
-    # submitted blocks with their starts and buffers, oldest first, and the
-    # buffers of finished blocks: a reused buffer saves a page fault per 4 KiB
-    pending = collections.deque()
-    free = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        try:
-            for start in starts:
-                while pending and pending[0][0].done():
-                    future, _, buffer = pending.popleft()
-                    future.result()
-                    free.append(buffer)
-                buffer = free.pop() if free else new_buffer()
-                draw(start, buffer)
-                if len(pending) <= threads + 1:
-                    pending.append((pool.submit(finish, start, buffer),
-                                    start, buffer))
-                else:
-                    finish(start, buffer)
-                    free.append(buffer)
-            # all drawn: the pool takes queued blocks from the head, the
-            # calling thread takes those the pool has not started from the tail
-            for future, start, buffer in reversed(pending):
-                if future.cancel():
-                    finish(start, buffer)
-                else:
-                    future.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return out
+    keys = _philox_keys(seed, (domain, n), range(reps))
+    return _replicate(keys, 2 if pairs else 1, n, finish, workers)
 
 
 def _loglog(n: int) -> float:
@@ -360,7 +269,8 @@ def run_limit_compare(cfg: ExperimentConfig) -> dict[str, list[dict]]:
         for mech in MECHANISMS:
             s = sample_limit_law(rho, grid, cfg.reps, mech, cfg.seed,
                                  m_sample=cfg.m_sample,
-                                 divergence_demo=cfg.divergence_demo)
+                                 divergence_demo=cfg.divergence_demo,
+                                 workers=cfg.workers)
             samples[mech] = s.values
             limit_rows.append(dict(s.summary(), **provenance))
         limit_rows.append(dict(

@@ -4,12 +4,15 @@ The weak limit of ``n W_2^2(F_n, G_n)`` for correlated Gaussian samples is
 the squared weighted L2 norm of the difference of two Brownian bridges
 whose cross-covariance is ``C_rho(u,v) - uv`` (Gaussian copula minus the
 independence term).  This module draws that functional by two independent
-mechanisms so each can check the other:
+mechanisms so each can check the other, each one transform of a block of
+keyed open uniforms, one row per draw, into the bridges ``bx`` and ``by``:
 
-* ``gaussian_grid``: one exact multivariate-normal draw of the pair on a
-  fixed grid, from the Cholesky factor of the 2m x 2m block covariance;
-* ``empirical_coupling``: empirical processes of ``m_sample`` correlated
-  normal pairs evaluated on the same grid, converging to the same law.
+* ``gaussian_grid``: ``(1, rows, 2m)`` uniforms through ``ndtri`` and
+  ``@ L.T``, with ``L`` the Cholesky factor of the 2m x 2m block
+  covariance: exact multivariate-normal draws of the pair on a fixed grid;
+* ``empirical_coupling``: ``(2, rows, m_sample)`` uniforms through ``ndtri``
+  into correlated normal pairs, sorted and counted below the node
+  quantiles: empirical bridges on the same grid, converging to the same law.
 
 The grid truncates at ``delta`` per end.  The truncated functional has
 finite mean ``M(rho, delta)`` (see
@@ -35,7 +38,8 @@ from .integrals import DELTA_FLOOR, truncated_second_moment
 # _bvnu_scalar is unused here but stays bound: perfbench/tracer.py rebinds it
 from .special import (Correlation, _bvnu_scalar, _bvnu_vec, as_correlation,
                       copula_diagonal_gap, density_quantile_h)
-from .streams import correlated_normal_pairs, standard_normals, substream
+from .streams import (_correlate_inplace, _integer, _keyed_uniforms,
+                      _normals_inplace, _philox_keys, _replicate)
 
 __all__ = [
     "GridSpec",
@@ -275,15 +279,38 @@ def _cholesky_factor(grid: GridSpec, rho: float) -> np.ndarray:
 # the two mechanisms
 # --------------------------------------------------------------------------
 
-def _gaussian_rows(grid: GridSpec, rho: float, seed: int,
-                   draws: range) -> np.ndarray:
-    """Stacked bridge-pair draws, one substream per draw index."""
-    L = _cholesky_factor(grid, rho)
-    dim = 2 * grid.m
-    eta = np.empty((len(draws), dim))
-    for row, j in enumerate(draws):
-        eta[row] = standard_normals(substream(seed, "limit_gaussian", j), dim)
-    return eta @ L.T
+def _mechanism(mechanism: str, grid: GridSpec, rho: float, seed: int,
+               draws: range, m_sample: int):
+    """``(keys, parts, width, bridges)`` of ``draws``: ``bridges`` maps a
+    ``(parts, rows, width)`` block of the keys' uniforms (one row per draw)
+    to those draws' ``(rows, m)`` bridges ``bx, by``."""
+    if mechanism == "gaussian_grid":
+        L = _cholesky_factor(grid, rho)
+        return (_philox_keys(seed, ("limit_gaussian",), draws), 1, 2 * grid.m,
+                lambda u: np.hsplit(_normals_inplace(u[0]) @ L.T, 2))
+    m_sample = _integer("m_sample", m_sample)
+    if m_sample < 10 ** 4:
+        raise DomainError(f"m_sample >= 1e4 required, got {m_sample}")
+    xq = ndtri(grid.nodes)
+
+    def coupled(u: np.ndarray) -> np.ndarray:
+        _normals_inplace(u)
+        _correlate_inplace(u[0], u[1], rho)  # u[1] becomes Y
+        s = np.sort(u, axis=2).reshape(-1, m_sample)
+        counts = np.array([np.searchsorted(row, xq, side="right")
+                           for row in s]).reshape(2, -1, grid.m)
+        return (counts / m_sample - grid.nodes) * math.sqrt(m_sample)
+    return _philox_keys(seed, ("limit_empirical",), draws), 2, m_sample, coupled
+
+
+def _one_pair(grid: GridSpec, rho, seed: int, j: int, mechanism: str,
+              m_sample: int = 10 ** 4) -> BridgePair:
+    """Draw ``j`` of ``sample_limit_law`` as a bridge pair."""
+    corr = as_correlation(rho)
+    keys, parts, width, bridges = _mechanism(mechanism, grid, corr.rho, seed,
+                                             range(j, j + 1), m_sample)
+    bx, by = bridges(_keyed_uniforms(keys, np.empty((parts, 1, width))))
+    return BridgePair(grid=grid, bx=bx[0], by=by[0], rho=corr)
 
 
 def simulate_bridge_pair_gaussian(grid: GridSpec, rho, seed: int,
@@ -294,10 +321,7 @@ def simulate_bridge_pair_gaussian(grid: GridSpec, rho, seed: int,
     consumes consecutive draw indices, so a single draw here matches the
     corresponding batch row to within matmul rounding.
     """
-    corr = as_correlation(rho)
-    row = _gaussian_rows(grid, corr.rho, seed,
-                         range(draw_index, draw_index + 1))[0]
-    return BridgePair(grid=grid, bx=row[:grid.m], by=row[grid.m:], rho=corr)
+    return _one_pair(grid, rho, seed, draw_index, "gaussian_grid")
 
 
 def simulate_bridge_pair_coupled(grid: GridSpec, rho, m_sample: int,
@@ -308,18 +332,7 @@ def simulate_bridge_pair_coupled(grid: GridSpec, rho, m_sample: int,
     ``sqrt(m) (F_m(x_u) - u)`` for each marginal at the grid nodes, which
     is the empirical bridge of the uniforms ``Phi(X_i)`` evaluated at u.
     """
-    corr = as_correlation(rho)
-    if m_sample < 10 ** 4:
-        raise DomainError(f"m_sample >= 1e4 required, got {m_sample}")
-    g = substream(seed, "limit_empirical", draw_index)
-    xs, ys = correlated_normal_pairs(g, m_sample, corr)
-    xq = ndtri(grid.nodes)
-    root = math.sqrt(m_sample)
-    bx = (np.searchsorted(np.sort(xs), xq, side="right") / m_sample
-          - grid.nodes) * root
-    by = (np.searchsorted(np.sort(ys), xq, side="right") / m_sample
-          - grid.nodes) * root
-    return BridgePair(grid=grid, bx=bx, by=by, rho=corr)
+    return _one_pair(grid, rho, seed, draw_index, "empirical_coupling", m_sample)
 
 
 # --------------------------------------------------------------------------
@@ -330,8 +343,7 @@ def _functional_rows(bx: np.ndarray, by: np.ndarray,
                      grid: GridSpec) -> np.ndarray:
     h = np.asarray(density_quantile_h(grid.nodes))
     y = ((bx - by) / h) ** 2
-    vals = np.trapezoid(y, x=grid.nodes, axis=-1)
-    return np.maximum(vals, 0.0)
+    return np.trapezoid(y, x=grid.nodes, axis=-1)
 
 
 def g_functional(pair: BridgePair) -> float:
@@ -392,12 +404,10 @@ def ks_two_sample(a, b) -> KSResult:
 # top-level sampler
 # --------------------------------------------------------------------------
 
-_BATCH = 4096  # fixed batch size so draw order never depends on resources
-
-
 def sample_limit_law(rho, grid: GridSpec, n_draws: int, mechanism: str,
                      seed: int, m_sample: int = 10 ** 4,
-                     divergence_demo: bool = False) -> LimitSample:
+                     divergence_demo: bool = False,
+                     workers: int = 1) -> LimitSample:
     """``n_draws`` independent draws of the truncated limit functional.
 
     ``rho = 0`` is refused unless ``divergence_demo=True``: with
@@ -406,31 +416,25 @@ def sample_limit_law(rho, grid: GridSpec, n_draws: int, mechanism: str,
     so the draws approximate no finite-limit law.  (The same growth
     occurs for every ``|rho| < 1``; rho = 0 is simply where the classical
     result makes it well known.)  Deterministic given ``seed``: draw j
-    always uses the same substream regardless of batching or workers.
+    always uses the same substream regardless of blocks or ``workers``,
+    the width of the :func:`streams._replicate` pipeline both run on.
     """
     corr = as_correlation(rho)
     if mechanism not in MECHANISMS:
         raise DomainError(
             f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
-    if n_draws < 1:
-        raise DomainError("n_draws >= 1 required")
+    n_draws, workers = _integer("n_draws", n_draws), _integer("workers", workers)
+    if n_draws < 1 or workers < 1:
+        raise DomainError("n_draws >= 1 and workers >= 1 required")
     if corr.zero_flag and not divergence_demo:
         raise DomainError(
             "rho = 0: the limit functional is almost surely infinite "
             "(truncated means grow without bound as delta -> 0); pass "
             "divergence_demo=True to sample the truncated functional "
             "deliberately")
-    values = np.empty(n_draws)
-    if mechanism == "gaussian_grid":
-        for start in range(0, n_draws, _BATCH):
-            stop = min(start + _BATCH, n_draws)
-            rows = _gaussian_rows(grid, corr.rho, seed, range(start, stop))
-            values[start:stop] = _functional_rows(
-                rows[:, :grid.m], rows[:, grid.m:], grid)
-    else:
-        for j in range(n_draws):
-            pair = simulate_bridge_pair_coupled(
-                grid, corr, m_sample, seed, draw_index=j)
-            values[j] = _functional_rows(pair.bx, pair.by, grid)
+    keys, parts, width, bridges = _mechanism(mechanism, grid, corr.rho, seed,
+                                             range(n_draws), m_sample)
+    values = _replicate(keys, parts, width,
+                        lambda u: _functional_rows(*bridges(u), grid), workers)
     return LimitSample(values=values, rho=corr, mechanism=mechanism,
                        grid=grid, seed=seed)

@@ -7,12 +7,13 @@ stream depends only on its own index — never on scheduling or worker
 count — so parallel runs are byte-reproducible.
 
 :func:`substream` defines a stream: numpy's ``SeedSequence`` hashes the
-key into a 128-bit Philox key.  The replication engine needs thousands of
+key into a 128-bit Philox key.  Seeded replications need thousands of
 streams per run, so :func:`_philox_keys` does that hashing for a whole
 range of replication indices in one vectorised pass, and
 :func:`_keyed_uniforms` re-keys one private ``Philox`` per replication and
 turns its raw 64-bit words into the same uniforms :func:`uniforms_open`
-draws from the same stream.
+draws from the same stream.  :func:`_replicate`, the one replication loop,
+hands blocks of them to a caller's ``finish`` (W2 engine or limit law).
 
 Normal variates are produced by inverse-cdf transform of open-interval
 uniforms, so a single audited quantile path feeds all samplers, and
@@ -21,7 +22,9 @@ correlated pairs are exact via ``Y = rho X + sqrt(1-rho^2) Z``.
 
 from __future__ import annotations
 
+import collections
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import ndtri
@@ -58,6 +61,19 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``.
+
+    An integral float (JSON's ``1e4``) converts; a bool, a fraction or
+    anything else raises :class:`DomainError` rather than being truncated.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _master_seed(master_seed) -> int:
@@ -120,20 +136,22 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
-def _philox_keys(seed: int, domain: str, n: int, reps: range) -> np.ndarray:
-    """The ``(len(reps), 2)`` uint64 Philox keys of ``substream(seed, domain,
-    n, rep)`` for every ``rep`` in ``reps = range(start, stop)``.
+def _philox_keys(seed: int, key: tuple, reps: range) -> np.ndarray:
+    """The ``(len(reps), 2)`` uint64 Philox keys of ``substream(seed, *key,
+    rep)`` for every ``rep`` in ``reps = range(start, stop)``.
 
-    Row ``i`` equals ``SeedSequence(entropy=seed, spawn_key=(DOMAINS[domain],
-    n, reps[i])).generate_state(2, np.uint64)``: numpy's pool-4 hash mixing,
-    done in uint32 lanes, one lane per replication.  The entropy words of
-    seed, domain and n are the same in every lane and are mixed once; a rep
-    at or above 2^32 adds a second word, so only those lanes mix it.
+    Row ``i`` equals ``SeedSequence(entropy=seed, spawn_key=(*key, reps[i]))
+    .generate_state(2, np.uint64)``, domains as ``DOMAINS`` numbers: numpy's
+    pool-4 hash mixing, done in uint32 lanes, one lane per replication.  The
+    entropy words of seed and key prefix (``(domain, n)`` for the W2 engine,
+    ``(domain,)`` for the limit law) are the same in every lane and are mixed
+    once; a rep at or above 2^32 adds a second word, so only those lanes mix it.
     """
     seed = _master_seed(seed)
-    dom, n, _ = _key_ints((domain, n, reps.start))
+    *prefix, _ = _key_ints((*key, reps.start))
     run = _words(seed)
-    shared = np.array(run + [0] * (_POOL - len(run)) + _words(dom) + _words(n),
+    shared = np.array(run + [0] * (_POOL - len(run))
+                      + [w for q in prefix for w in _words(q)],
                       dtype=np.uint32)[:, np.newaxis]
     hashmix = _HashMix(_INIT_A, _MULT_A)
     pool = [hashmix(w) for w in shared[:_POOL]]
@@ -179,7 +197,7 @@ def uniforms_open(rng: np.random.Generator, size) -> np.ndarray:
     return _open_unit(k, np.empty(np.shape(k)))
 
 
-def _keyed_uniforms(keys: np.ndarray, out: np.ndarray) -> None:
+def _keyed_uniforms(keys: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill ``out[:, r]`` from the Philox stream keyed by ``keys[r]``.
 
     ``out`` is a float64 ``(parts, len(keys), n)`` array.  Row ``r`` gets
@@ -199,7 +217,7 @@ def _keyed_uniforms(keys: np.ndarray, out: np.ndarray) -> None:
         bits.state = state
         raw[:, r] = bits.random_raw(parts * n).reshape(parts, n)
     np.right_shift(raw, 11, out=raw)
-    _open_unit(raw.view(np.int64), out=out)
+    return _open_unit(raw.view(np.int64), out=out)
 
 
 def _normals_inplace(u: np.ndarray) -> np.ndarray:
@@ -241,3 +259,86 @@ def correlated_normal_pairs(rng: np.random.Generator, size, rho):
     x = standard_normals(rng, size)
     z = standard_normals(rng, size)
     return x, _correlate_inplace(x, z, rho)
+
+
+_BLOCK_VALUES = 2 ** 17  # float64 values drawn per block (1 MiB)
+
+
+def _block_rows(width: int, parts: int) -> int:
+    """Rows per block: ``_BLOCK_VALUES`` values, at least one row."""
+    return max(1, _BLOCK_VALUES // (width * parts))
+
+
+def _replicate(keys: np.ndarray, parts: int, width: int, finish,
+               workers: int) -> np.ndarray:
+    """One value per key: ``finish(block)`` for each block of keyed uniforms.
+
+    Row ``r`` of a ``(parts, rows, width)`` block holds ``parts`` calls of
+    ``uniforms_open(g, width)`` on the stream of its key.  Blocks hold about
+    2^17 numbers (1 MiB), their sizes balanced to within one row: a block of
+    a few rows could send a caller's matrix product to another BLAS kernel,
+    with other rounding.  The calling thread draws each block
+    (:func:`_keyed_uniforms`); ``finish`` runs inline when ``workers == 1``.
+    Otherwise a pool of ``threads = min(workers - 1, number of blocks)``
+    threads finishes them: the calling thread submits each block it draws to
+    the pool while at most ``threads + 1`` blocks are pending there, and
+    otherwise finishes the block itself.  Before each draw it collects the finished blocks at the
+    head of the queue and keeps their buffers for reuse, so at most
+    ``workers + 2`` block buffers exist.  Once every block is drawn, the
+    calling thread finishes each pending block the pool has not started,
+    newest first, while the pool works from the oldest.  An error in a
+    block raises here, wherever the block was finished: from the pool,
+    before the next draw once the blocks ahead of it are done.  It cancels
+    the blocks still queued, and raises after every pool thread has
+    stopped.
+    """
+    count = len(keys)
+    blocks = -(-count // _block_rows(width, parts))
+    spans = [(count * b // blocks, count * (b + 1) // blocks)
+             for b in range(blocks)]
+    shape = (parts, -(-count // blocks), width)
+    out = np.empty(count)
+
+    def draw(start: int, stop: int, buffer: np.ndarray) -> None:
+        _keyed_uniforms(keys[start:stop], buffer[:, :stop - start])
+
+    def run(start: int, stop: int, buffer: np.ndarray) -> None:
+        out[start:stop] = finish(buffer[:, :stop - start])
+
+    threads = min(workers - 1, blocks)
+    if threads == 0:
+        buffer = np.empty(shape)
+        for span in spans:
+            draw(*span, buffer)
+            run(*span, buffer)
+        return out
+
+    # submitted blocks with their spans and buffers, oldest first, and the
+    # buffers of finished blocks: a reused buffer saves a page fault per 4 KiB
+    pending, free = collections.deque(), []
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        try:
+            for span in spans:
+                while pending and pending[0][0].done():
+                    future, _, buffer = pending.popleft()
+                    future.result()
+                    free.append(buffer)
+                buffer = free.pop() if free else np.empty(shape)
+                draw(*span, buffer)
+                if len(pending) <= threads + 1:
+                    pending.append((pool.submit(run, *span, buffer), span,
+                                    buffer))
+                else:
+                    run(*span, buffer)
+                    free.append(buffer)
+            # all drawn: the pool takes queued blocks from the head, the
+            # calling thread takes those the pool has not started from the tail
+            for future, span, buffer in reversed(pending):
+                if future.cancel():
+                    run(*span, buffer)
+                else:
+                    future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return out

@@ -192,11 +192,11 @@ def _loop_w2sq(seed, domain, n, reps, rho=None):
     # a 1024-value block keeps block +- 1 replications cheap at n = 1;
     # at n = 1500 (and at n = 70000 by default) every block is one row
     (2 ** 10, 1), (2 ** 10, 64), (2 ** 10, 1500),
-    (experiments._BLOCK_VALUES, 64), (experiments._BLOCK_VALUES, 70000)])
+    (streams._BLOCK_VALUES, 64), (streams._BLOCK_VALUES, 70000)])
 def test_replicate_w2sq_matches_per_replication_loop(monkeypatch, rho,
                                                      block_values, n):
-    monkeypatch.setattr(experiments, "_BLOCK_VALUES", block_values)
-    rows = experiments._block_rows(n, rho is not None)
+    monkeypatch.setattr(streams, "_BLOCK_VALUES", block_values)
+    rows = streams._block_rows(n, 1 if rho is None else 2)
     if n >= 1500:
         assert rows == 1
     for reps in sorted({1, rows - 1, rows + 1} - {0}):
@@ -279,15 +279,15 @@ def test_replicate_w2sq_caller_finishes_when_pool_lags(monkeypatch, rho):
     # each block's W2 reduction sleeps on the pool thread, so drawn blocks
     # pile up and the calling thread must finish some of them itself,
     # before it has drawn the last one
-    monkeypatch.setattr(experiments, "_BLOCK_VALUES", 2 ** 10)
+    monkeypatch.setattr(streams, "_BLOCK_VALUES", 2 ** 10)
     events = []
-    monkeypatch.setattr(experiments, "_keyed_uniforms", _traced(
-        experiments._keyed_uniforms, events, "draw"))
+    monkeypatch.setattr(streams, "_keyed_uniforms", _traced(
+        streams._keyed_uniforms, events, "draw"))
     monkeypatch.setattr(experiments, "_w2sq_rows", _traced(
         experiments._w2sq_rows, events, "finish", slow_on="pool"))
     n, reps = 64, 100
     got = replicate_w2sq(77, "two_sample", n, reps, rho=rho, workers=2)
-    blocks = -(-reps // experiments._block_rows(n, rho is not None))
+    blocks = -(-reps // streams._block_rows(n, 1 if rho is None else 2))
     assert events.count(("draw", "main")) == blocks
     assert sum(label == "finish" for label, _ in events) == blocks
     last_draw = len(events) - 1 - events[::-1].index(("draw", "main"))
@@ -300,11 +300,12 @@ def test_replicate_w2sq_caller_finishes_when_pool_lags(monkeypatch, rho):
 def test_replicate_w2sq_error_on_either_thread_raises(monkeypatch, nan_on):
     # the thread that gets the NaN block is made the fast one: a slow pool
     # leaves blocks to the caller, a slow draw leaves them to the pool
-    monkeypatch.setattr(experiments, "_BLOCK_VALUES", 2 ** 10)
+    monkeypatch.setattr(streams, "_BLOCK_VALUES", 2 ** 10)
     slow_kind = "pool" if nan_on == "main" else "main"
-    slow_fn = "_w2sq_rows" if slow_kind == "pool" else "_keyed_uniforms"
-    monkeypatch.setattr(experiments, slow_fn, _traced(
-        getattr(experiments, slow_fn), [], slow_fn, slow_on=slow_kind))
+    slow_mod, slow_fn = (experiments, "_w2sq_rows") if slow_kind == "pool" \
+        else (streams, "_keyed_uniforms")
+    monkeypatch.setattr(slow_mod, slow_fn, _traced(
+        getattr(slow_mod, slow_fn), [], slow_fn, slow_on=slow_kind))
     real_ndtri = streams.ndtri
     poisoned = []
 
@@ -327,13 +328,13 @@ def test_replicate_w2sq_error_on_either_thread_raises(monkeypatch, nan_on):
 def test_replicate_w2sq_caller_finishes_the_tail(monkeypatch):
     # 3 blocks, all submitted to a slow pool: once the last one is drawn,
     # the calling thread finishes the blocks the pool has not started
-    monkeypatch.setattr(experiments, "_BLOCK_VALUES", 2 ** 10)
+    monkeypatch.setattr(streams, "_BLOCK_VALUES", 2 ** 10)
     events = []
-    monkeypatch.setattr(experiments, "_keyed_uniforms", _traced(
-        experiments._keyed_uniforms, events, "draw"))
+    monkeypatch.setattr(streams, "_keyed_uniforms", _traced(
+        streams._keyed_uniforms, events, "draw"))
     monkeypatch.setattr(experiments, "_w2sq_rows", _traced(
         experiments._w2sq_rows, events, "finish", slow_on="pool"))
-    assert experiments._block_rows(64, False) == 16
+    assert streams._block_rows(64, 1) == 16
     got = replicate_w2sq(13, "generic", 64, 48, workers=2)
     assert events.count(("draw", "main")) == 3
     last_draw = len(events) - 1 - events[::-1].index(("draw", "main"))
@@ -345,10 +346,10 @@ def test_replicate_w2sq_caller_finishes_the_tail(monkeypatch):
 def test_replicate_w2sq_stops_drawing_after_a_failed_block(monkeypatch):
     # 63 blocks; the pool's first block fails while the caller's draws are
     # slow, so the error must surface within a few draws, not at the end
-    monkeypatch.setattr(experiments, "_BLOCK_VALUES", 2 ** 10)
+    monkeypatch.setattr(streams, "_BLOCK_VALUES", 2 ** 10)
     events = []
-    monkeypatch.setattr(experiments, "_keyed_uniforms", _traced(
-        experiments._keyed_uniforms, events, "draw", slow_on="main"))
+    monkeypatch.setattr(streams, "_keyed_uniforms", _traced(
+        streams._keyed_uniforms, events, "draw", slow_on="main"))
     real_ndtri = streams.ndtri
 
     def nan_ndtri(u, out=None):
@@ -358,7 +359,7 @@ def test_replicate_w2sq_stops_drawing_after_a_failed_block(monkeypatch):
         return res
 
     monkeypatch.setattr(streams, "ndtri", nan_ndtri)
-    assert -(-1000 // experiments._block_rows(64, False)) == 63
+    assert -(-1000 // streams._block_rows(64, 1)) == 63
     with pytest.raises(DomainError, match="finite"):
         replicate_w2sq(5, "generic", 64, 1000, workers=2)
     assert events.count(("draw", "main")) <= 4
@@ -368,7 +369,7 @@ def test_replicate_w2sq_stress_more_workers_than_cores(monkeypatch):
     # 100 four-row blocks through 5 workers with a 1 us switch interval:
     # a block lost, finished twice or written to the wrong slot changes
     # the bytes
-    monkeypatch.setattr(experiments, "_BLOCK_VALUES", 64)  # 4 rows at n = 16
+    monkeypatch.setattr(streams, "_BLOCK_VALUES", 64)  # 4 rows at n = 16
     want = replicate_w2sq(9, "generic", 16, 400, workers=1).tobytes()
     got = []
     interval = sys.getswitchinterval()
@@ -398,8 +399,8 @@ def test_replicate_w2sq_bounds_its_threads(monkeypatch):
             peak_threads.append(threading.active_count())
             return future
 
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(experiments, "_BLOCK_VALUES", 64)  # 4 rows at n = 16
+    monkeypatch.setattr(streams, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(streams, "_BLOCK_VALUES", 64)  # 4 rows at n = 16
     before = threading.active_count()
     replicate_w2sq(5, "generic", 16, 1, workers=8)     # one block
     replicate_w2sq(5, "generic", 16, 12, workers=8)    # three blocks
@@ -513,6 +514,22 @@ def test_cli_runs_and_prints_paths(tmp_path, capsys):
     assert sorted(os.path.basename(p) for p in printed) == \
         ["one_sample.csv", "one_sample.json"]
     assert all(os.path.exists(p) for p in printed)
+
+
+def test_cli_limit_compare_bytes_do_not_depend_on_workers(tmp_path, capsys):
+    # 300 draws run as two Gaussian blocks (m = 256) and fifty empirical
+    # blocks, so both limit-law mechanisms go through the worker pool
+    bodies = []
+    for workers in (1, 3):
+        out = tmp_path / f"w{workers}"
+        rc = main(["limit-compare", "--n", "2000", "--reps", "300", "--rho",
+                   "0.6", "--m", "256", "--seed", "19", "--workers",
+                   str(workers), "--out", str(out)])
+        assert rc == 0
+        bodies.append({name: (out / name).read_bytes()
+                       for name in ("limit.csv", "ks.csv")})
+    capsys.readouterr()
+    assert bodies[0] == bodies[1]
 
 
 def test_cli_requires_seed(tmp_path, capsys):

@@ -14,8 +14,19 @@ from w2gauss import (BridgePair, Correlation, DomainError, GridSpec,
                      simulate_bridge_pair_coupled,
                      simulate_bridge_pair_gaussian, truncated_second_moment,
                      truncation_bias)
-from w2gauss.limitlaw import _copula_matrix, _gaussian_rows
+from w2gauss import limitlaw, streams
+from w2gauss.limitlaw import _copula_matrix
 from w2gauss.special import _bvnu_vec
+from w2gauss.streams import (_keyed_uniforms, correlated_normal_pairs,
+                             standard_normals, substream)
+
+
+def _gaussian_rows(grid, rho, seed, draws):
+    """Bridge rows ``[bx | by]`` of ``sample_limit_law``'s Gaussian draws."""
+    keys, parts, width, bridges = limitlaw._mechanism(
+        "gaussian_grid", grid, rho, seed, draws, None)
+    u = _keyed_uniforms(keys, np.empty((parts, len(draws), width)))
+    return np.hstack(bridges(u))
 
 
 # --------------------------------------------------------------------------
@@ -293,6 +304,81 @@ def test_rho_zero_truncated_means_increase():
                              divergence_demo=True)
         means.append(s.values.mean())
     assert means[0] < means[1] < means[2]
+
+
+def _functional_ref(bx, by, grid):
+    h = np.asarray(density_quantile_h(grid.nodes))
+    return np.trapezoid(((bx - by) / h) ** 2, x=grid.nodes, axis=-1)
+
+
+def _coupled_ref(grid, rho, seed, j, m_sample):
+    """``bx, by`` of empirical draw ``j``: its own substream's coupled
+    pairs, sorted and counted below the node quantiles."""
+    g = substream(seed, "limit_empirical", j)
+    return [(np.searchsorted(np.sort(z), ndtri(grid.nodes), side="right")
+             / m_sample - grid.nodes) * math.sqrt(m_sample)
+            for z in correlated_normal_pairs(g, m_sample, rho)]
+
+
+def _per_draw_loop(rho, grid, n_draws, mechanism, seed, m_sample):
+    """The per-draw substream loops that ``sample_limit_law`` replaced.
+
+    Gaussian draws stack each draw's ``2m`` normals and take one product
+    with the Cholesky factor; empirical draws are :func:`_coupled_ref`.
+    """
+    if mechanism == "gaussian_grid":
+        L = limitlaw._cholesky_factor(grid, rho)
+        eta = np.array([standard_normals(substream(seed, "limit_gaussian", j),
+                                         2 * grid.m) for j in range(n_draws)])
+        rows = eta @ L.T
+        return _functional_ref(rows[:, :grid.m], rows[:, grid.m:], grid)
+    return np.array([_functional_ref(*_coupled_ref(grid, rho, seed, j,
+                                                   m_sample), grid)
+                     for j in range(n_draws)])
+
+
+@pytest.mark.parametrize("mechanism, rows, parts, width", [
+    # 16 rows of 2m = 512 normals; 3 rows of 2 x 10^4 coupled normals
+    ("gaussian_grid", 16, 1, 512), ("empirical_coupling", 3, 2, 10 ** 4)])
+def test_sample_limit_law_matches_per_draw_loop(monkeypatch, mechanism, rows,
+                                                parts, width):
+    grid = build_grid(256, 1e-4)
+    monkeypatch.setattr(streams, "_BLOCK_VALUES", rows * parts * width)
+    assert streams._block_rows(width, parts) == rows
+    for n_draws in (rows - 1, rows, rows + 1):
+        want = _per_draw_loop(0.95, grid, n_draws, mechanism, 31, 10 ** 4)
+        for workers in (1, 2, 3):
+            got = sample_limit_law(0.95, grid, n_draws, mechanism, 31,
+                                   workers=workers).values
+            assert got.tobytes() == want.tobytes(), (n_draws, workers)
+
+
+def test_single_coupled_draw_matches_per_draw_loop():
+    grid = build_grid(32, 1e-3)
+    pair = simulate_bridge_pair_coupled(grid, 0.6, 10 ** 4, seed=8,
+                                        draw_index=4)
+    bx, by = _coupled_ref(grid, 0.6, 8, 4, 10 ** 4)
+    assert pair.bx.tobytes() == bx.tobytes()
+    assert pair.by.tobytes() == by.tobytes()
+
+
+def test_sample_limit_law_counts_are_integers():
+    grid = build_grid(32, 1e-3)
+    want = sample_limit_law(0.6, grid, 3, "empirical_coupling", 4).values
+    got = sample_limit_law(0.6, grid, 3.0, "empirical_coupling", 4,
+                           m_sample=10000.0, workers=2.0).values
+    assert got.tobytes() == want.tobytes()
+    for kwargs in (dict(n_draws=True), dict(n_draws=2.5), dict(n_draws=0),
+                   dict(m_sample=True), dict(m_sample=1.5e4 + 0.5),
+                   dict(workers=True), dict(workers=0), dict(workers=1.5)):
+        args = dict(rho=0.6, grid=grid, n_draws=3,
+                    mechanism="empirical_coupling", seed=4) | kwargs
+        with pytest.raises(DomainError):
+            sample_limit_law(**args)
+    with pytest.raises(DomainError, match="integer"):
+        sample_limit_law(0.6, grid, 3, "empirical_coupling", 4, m_sample=True)
+    with pytest.raises(DomainError, match="1e4"):
+        sample_limit_law(0.6, grid, 3, "empirical_coupling", 4, m_sample=9999)
 
 
 def test_unknown_mechanism_rejected():

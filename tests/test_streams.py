@@ -54,18 +54,29 @@ def test_no_collisions_across_rep_range():
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 64 - 1),
        domain=st.sampled_from(sorted(DOMAINS)), n=st.integers(1, 2 ** 40),
+       # key prefixes of one, two and three parts: the limit law's (domain,),
+       # the W2 engine's (domain, n), and a second index that takes two words
+       prefix=st.integers(1, 3), index=st.integers(2 ** 32, 2 ** 64 - 1),
        # a rep at or above 2^32 takes two entropy words, so lanes of a
        # range that crosses it differ in length
        start=st.one_of(st.integers(0, 2 ** 34),
                        st.integers(2 ** 32 - 16, 2 ** 32)),
        length=st.integers(0, 24))
-@example(seed=0, domain="one_sample", n=1, start=2 ** 32 - 2, length=4)
-@example(seed=2 ** 64 - 1, domain="generic", n=2 ** 40, start=0, length=0)
-def test_philox_keys_match_seed_sequence(seed, domain, n, start, length):
+@example(seed=0, domain="one_sample", n=1, prefix=2, index=2 ** 32,
+         start=2 ** 32 - 2, length=4)
+@example(seed=2 ** 64 - 1, domain="generic", n=2 ** 40, prefix=2,
+         index=2 ** 32, start=0, length=0)
+@example(seed=7, domain="limit_gaussian", n=1, prefix=1, index=2 ** 32,
+         start=0, length=5)
+@example(seed=7, domain="limit_empirical", n=3, prefix=3, index=2 ** 40,
+         start=2 ** 32 - 2, length=4)
+def test_philox_keys_match_seed_sequence(seed, domain, n, prefix, index,
+                                         start, length):
     reps = range(start, start + length)
-    got = streams._philox_keys(seed, domain, n, reps)
+    key = (domain, n, index)[:prefix]
+    got = streams._philox_keys(seed, key, reps)
     want = [np.random.SeedSequence(entropy=seed,
-                                   spawn_key=(DOMAINS[domain], n, rep))
+                                   spawn_key=(DOMAINS[domain], *key[1:], rep))
             .generate_state(2, np.uint64) for rep in reps]
     assert got.dtype == np.uint64
     assert got.shape == (length, 2)
@@ -73,9 +84,9 @@ def test_philox_keys_match_seed_sequence(seed, domain, n, start, length):
 
 
 def test_philox_keys_validation():
-    for args in ((-1, "generic", 4, range(3)), (5, "nope", 4, range(3)),
-                 (5, "generic", -4, range(3)),
-                 (5, "generic", 4, range(-1, 3))):
+    for args in ((-1, ("generic", 4), range(3)), (5, ("nope", 4), range(3)),
+                 (5, ("generic", -4), range(3)),
+                 (5, ("generic", 4), range(-1, 3))):
         with pytest.raises(DomainError):
             streams._philox_keys(*args)
 
@@ -84,7 +95,7 @@ def test_philox_keys_validation():
 def test_keyed_uniforms_match_uniforms_open(parts, n):
     reps = range(3, 9)
     out = np.empty((parts, len(reps), n))
-    streams._keyed_uniforms(streams._philox_keys(42, "two_sample", n, reps),
+    streams._keyed_uniforms(streams._philox_keys(42, ("two_sample", n), reps),
                             out)
     for r, rep in enumerate(reps):
         g = substream(42, "two_sample", n, rep)
