@@ -23,9 +23,8 @@ import os
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
-from .extremes import (VARIANTS, extreme_mean, extreme_var,
-                       sample_extreme)
+from .errors import DomainError
+from .extremes import VARIANTS, extreme_mean, sample_extreme
 from .integrals import (bickel_integral, d1n, second_moment_windows,
                         truncated_second_moment)
 from .limitlaw import (MECHANISMS, _draw_summary, build_grid, ks_two_sample,

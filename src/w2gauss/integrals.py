@@ -33,7 +33,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from .errors import DivergenceError, DomainError, QuadratureError
@@ -167,6 +166,8 @@ def _bulk_quad(t_hi: float, what: str, integrand=_bulk_integrand_t,
     and returns value, error estimate and evaluation count like
     :func:`_second_moment_quad`.
     """
+    # imported here so that only quadrature callers pay for scipy.integrate
+    from scipy import integrate
     value, err, info = integrate.quad(
         integrand, T_HALF, t_hi, full_output=True,
         epsabs=1e-13, epsrel=1e-10, limit=400)[:3]
@@ -279,6 +280,8 @@ def _second_moment_quad(rho: float, t_lo: float, t_hi: float,
     absolute error estimate and the evaluation count, or raises
     :class:`QuadratureError` when the estimate misses its target.
     """
+    # imported here so that only quadrature callers pay for scipy.integrate
+    from scipy import integrate
     value, err, info = integrate.quad(
         _second_moment_integrand_t, t_lo, t_hi, args=(rho,),
         full_output=True, epsabs=1e-12, epsrel=1e-9, limit=400)[:3]

@@ -30,8 +30,7 @@ import math
 import warnings
 
 import numpy as np
-from scipy import stats
-from scipy.special import ndtri
+from scipy.special import ndtri, smirnov
 
 from .errors import CovarianceError, DomainError
 from .integrals import DELTA_FLOOR, truncated_second_moment
@@ -386,7 +385,15 @@ def truncation_bias(rho, delta_fine: float, delta_coarse: float) -> float:
 
 
 def ks_two_sample(a, b) -> KSResult:
-    """Two-sample KS statistic with the asymptotic p-value."""
+    """Two-sample KS statistic with the Smirnov union-bound p-value.
+
+    The statistic is ``scipy.stats.ks_2samp``'s, bit for bit.  The p-value
+    is ``min(1, 2 smirnov(N, d))`` with ``N = round(n_a n_b / (n_a + n_b))``:
+    twice the exact one-sided Smirnov tail, an upper bound on the two-sided
+    one.  It equals ``ks_2samp(method="asymp")``'s ``kstwo.sf(d, N)`` where
+    ``N > 140`` and ``N d^2 >= 2.2`` (every p below about 0.025) and is never
+    below it by more than about 1e-6 elsewhere.
+    """
     xa = np.asarray(a, dtype=float)
     xb = np.asarray(b, dtype=float)
     if xa.ndim != 1 or xb.ndim != 1 or xa.size < 25 or xb.size < 25:
@@ -395,9 +402,17 @@ def ks_two_sample(a, b) -> KSResult:
         raise DomainError("ks_two_sample needs finite samples")
     if np.ptp(xa) == 0.0 or np.ptp(xb) == 0.0:
         raise DomainError("degenerate (constant) sample")
-    res = stats.ks_2samp(xa, xb, method="asymp")
-    return KSResult(statistic=float(res.statistic), p_value=float(res.pvalue),
-                    n_a=int(xa.size), n_b=int(xb.size))
+    xa = np.sort(xa)
+    xb = np.sort(xb)
+    both = np.concatenate([xa, xb])
+    diff = (np.searchsorted(xa, both, side="right") / xa.size
+            - np.searchsorted(xb, both, side="right") / xb.size)
+    # ks_2samp's max(clip(-min, 0, 1), max), ties to max; diff is +0.0 at
+    # the largest value and lies in [-1, 1], so the clip never acts
+    d = float(max(diff.max(), -diff.min()))
+    en = round(xa.size * xb.size / (xa.size + xb.size))
+    p = min(1.0, 2.0 * float(smirnov(en, d)))
+    return KSResult(statistic=d, p_value=p, n_a=int(xa.size), n_b=int(xb.size))
 
 
 # --------------------------------------------------------------------------

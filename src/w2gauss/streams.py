@@ -282,15 +282,15 @@ def _replicate(keys: np.ndarray, parts: int, width: int, finish,
     Otherwise a pool of ``threads = min(workers - 1, number of blocks)``
     threads finishes them: the calling thread submits each block it draws to
     the pool while at most ``threads + 1`` blocks are pending there, and
-    otherwise finishes the block itself.  Before each draw it collects the finished blocks at the
-    head of the queue and keeps their buffers for reuse, so at most
-    ``workers + 2`` block buffers exist.  Once every block is drawn, the
-    calling thread finishes each pending block the pool has not started,
-    newest first, while the pool works from the oldest.  An error in a
-    block raises here, wherever the block was finished: from the pool,
-    before the next draw once the blocks ahead of it are done.  It cancels
-    the blocks still queued, and raises after every pool thread has
-    stopped.
+    otherwise finishes the block itself.  Before each draw it collects the
+    finished blocks at the head of the queue and keeps their buffers for
+    reuse, so at most ``workers + 2`` block buffers exist.  Once every
+    block is drawn, the calling thread finishes each pending block the pool
+    has not started, newest first, while the pool works from the oldest.
+    An error in a block raises here, wherever the block was finished: from
+    the pool, before the next draw once the blocks ahead of it are done.
+    It cancels the blocks still queued, and raises after every pool thread
+    has stopped.
     """
     count = len(keys)
     blocks = -(-count // _block_rows(width, parts))

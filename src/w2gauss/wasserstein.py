@@ -46,7 +46,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import integrate
 from scipy.special import betaln, ndtr, ndtri
 
 from .errors import DomainError
@@ -447,6 +446,8 @@ def tail_decomposition(s: SortedSample, C: float = 1.0, theta: float = 2.0,
 
 def _exact_mean_rank(i: int, n: int) -> float:
     """``E Z_(i)`` by adaptive quadrature of the order-statistic density."""
+    # imported here so that only quadrature callers pay for scipy.integrate
+    from scipy import integrate
     lc = -float(betaln(i, n - i + 1))
     p = i / (n + 1.0)
     z0 = float(ndtri(p))

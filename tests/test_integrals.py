@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from w2gauss import (DivergenceError, DomainError, ExperimentConfig,
                      LOG2_PLUS_GAMMA0, QuadratureError, bickel_integral,
@@ -196,7 +197,7 @@ def test_windows_are_certified_and_match_truncated(rho):
 
 
 def test_uncertified_window_raises(monkeypatch):
-    real_quad = integrals.integrate.quad
+    real_quad = scipy.integrate.quad
     calls = []
 
     def quad(*args, **kwargs):
@@ -206,14 +207,14 @@ def test_uncertified_window_raises(monkeypatch):
             return (out[0], 1e-3 * abs(out[0]) + 1.0) + tuple(out[2:])
         return out
 
-    monkeypatch.setattr(integrals.integrate, "quad", quad)
+    monkeypatch.setattr(scipy.integrate, "quad", quad)
     with pytest.raises(QuadratureError, match="second_moment_windows"):
         second_moment_windows(0.6)
     assert len(calls) == 3
 
 
 def test_run_integrals_integrates_each_window_once(monkeypatch):
-    real_quad = integrals.integrate.quad
+    real_quad = scipy.integrate.quad
     calls = []
 
     def quad(func, *args, **kwargs):
@@ -221,7 +222,7 @@ def test_run_integrals_integrates_each_window_once(monkeypatch):
             calls.append(args[:2])
         return real_quad(func, *args, **kwargs)
 
-    monkeypatch.setattr(integrals.integrate, "quad", quad)
+    monkeypatch.setattr(scipy.integrate, "quad", quad)
     rows = run_experiment(ExperimentConfig(experiment="integrals", seed=1,
                                            rho=0.6))["integrals"]
     assert len(calls) == 7

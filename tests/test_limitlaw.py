@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy import stats
+from scipy.special import ndtri, smirnov
 
 from w2gauss import (BridgePair, Correlation, DomainError, GridSpec,
                      MECHANISMS, bridge_covariance, build_grid,
@@ -408,6 +410,31 @@ def test_ks_edge_cases():
     bad[0] = math.inf
     with pytest.raises(DomainError):
         ks_two_sample(bad, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_a=st.integers(25, 4000), n_b=st.integers(25, 4000),
+       shift=st.floats(0.0, 0.5), decimals=st.sampled_from([None, 0, 1, 2]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n_a=4000, n_b=3000, shift=0.1, decimals=None, seed=0)   # p < 0.025
+@example(n_a=25, n_b=4000, shift=0.0, decimals=0, seed=1)       # N = 25, ties
+def test_ks_matches_scipy_asymp(n_a, n_b, shift, decimals, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 1.0, n_a)
+    b = rng.normal(shift, 1.0, n_b)
+    if decimals is not None:                       # ties within and across
+        a, b = np.round(a, decimals), np.round(b, decimals)
+    assume(np.ptp(a) > 0.0 and np.ptp(b) > 0.0)
+    r = ks_two_sample(a, b)
+    ref = stats.ks_2samp(a, b, method="asymp")
+    assert np.float64(r.statistic).tobytes() \
+        == np.float64(ref.statistic).tobytes()
+    N = round(n_a * n_b / (n_a + n_b))
+    d = r.statistic
+    assert r.p_value == min(1.0, 2.0 * float(smirnov(N, d)))
+    assert r.p_value >= float(ref.pvalue) - 1e-6
+    if N > 140 and N * d * d >= 2.2:
+        assert r.p_value == float(ref.pvalue)
 
 
 def test_mechanisms_agree_in_distribution():
