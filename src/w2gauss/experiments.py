@@ -165,9 +165,10 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
             _check_sorted_rows(s.reshape(-1, n))
             return _w2sq_rows(np.subtract(s[0], s[1], out=s[0]))
         s = _normals_inplace(np.sort(u, axis=2))
-        if not (s[..., 1:] >= s[..., :-1]).all():
+        ordered = bool((s[..., 1:] >= s[..., :-1]).all())
+        if not ordered:
             s = np.sort(s, axis=2)
-        _check_sorted_rows(s.reshape(-1, n))
+        _check_sorted_rows(s.reshape(-1, n), ordered)
         return _w2sq_rows(np.subtract(s[0], m, out=s[0]), within)
 
     keys = _philox_keys(seed, (domain, n), range(reps))

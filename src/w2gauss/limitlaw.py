@@ -63,6 +63,8 @@ MECHANISMS = ("gaussian_grid", "empirical_coupling")
 # explicit failure beyond (signals a genuinely bad grid/rho configuration)
 _JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9)
 _JITTER_QUIET = 1e-12
+# copula pairs per _bvnu_vec call: bounds the quadrature's temporaries
+_COPULA_CHUNK = 4096
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,25 +210,35 @@ def build_grid(m: int, delta: float) -> GridSpec:
 # covariance assembly and factorization
 # --------------------------------------------------------------------------
 
-def _copula_matrix(nodes: np.ndarray, rho: float) -> np.ndarray:
+def _copula_matrix(nodes: np.ndarray, rho: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """``C_rho(u_i, u_j)`` on the grid, via the survival identity.
 
-    Each pair ``i <= j`` is evaluated once and mirrored.  For ``u + v > 1``
-    the copula is evaluated as ``u + v - 1 + P(X > x_u, Y > x_v)``, keeping
-    the computed quantity the small joint tail rather than a difference of
-    near-unit terms.
+    Each pair ``i <= j`` is evaluated once and mirrored, ``_COPULA_CHUNK``
+    pairs at a time, into ``out`` (a new ``(m, m)`` array by default).  For
+    ``u + v > 1`` the copula is evaluated as ``u + v - 1 + P(X > x_u, Y >
+    x_v)``, keeping the computed quantity the small joint tail rather than
+    a difference of near-unit terms.
     """
+    m = nodes.size
+    C = np.empty((m, m)) if out is None else out
     x = ndtri(nodes)
-    i, j = np.triu_indices(nodes.size)
-    u, v = nodes[i], nodes[j]
-    upper = u + v > 1.0
-    # below the anti-diagonal C is the upper tail at (-x_u, -x_v)
-    sign = np.where(upper, 1.0, -1.0)
-    c = np.where(upper, u + v - 1.0, 0.0) \
-        + _bvnu_vec(sign * x[i], sign * x[j], rho)
-    C = np.empty((nodes.size, nodes.size))
-    C[i, j] = C[j, i] = np.clip(c, np.maximum(u + v - 1.0, 0.0),
-                                np.minimum(u, v))
+    # pair p is (i, j) in row-major order of the upper triangle; row i's
+    # pairs start at first[i]
+    first = np.concatenate([[0], np.cumsum(np.arange(m, 1, -1))])
+    pairs = m * (m + 1) // 2
+    for start in range(0, pairs, _COPULA_CHUNK):
+        p = np.arange(start, min(start + _COPULA_CHUNK, pairs))
+        i = np.searchsorted(first, p, side="right") - 1
+        j = p - first[i] + i
+        u, v = nodes[i], nodes[j]
+        upper = u + v > 1.0
+        # below the anti-diagonal C is the upper tail at (-x_u, -x_v)
+        sign = np.where(upper, 1.0, -1.0)
+        c = np.where(upper, u + v - 1.0, 0.0) \
+            + _bvnu_vec(sign * x[i], sign * x[j], rho)
+        C[i, j] = C[j, i] = np.clip(c, np.maximum(u + v - 1.0, 0.0),
+                                    np.minimum(u, v))
     return C
 
 
@@ -234,16 +246,26 @@ def bridge_covariance(grid: GridSpec, rho) -> np.ndarray:
     """The 2m x 2m block covariance of ``(B(u_i), Bt(u_i))``.
 
     Diagonal blocks are the Brownian-bridge kernel ``min(u,v) - uv``;
-    off-diagonal blocks are ``C_rho(u,v) - uv``.
+    off-diagonal blocks are ``C_rho(u,v) - uv``.  The blocks are written
+    into one ``(2m, 2m)`` array, with one ``(m, m)`` temporary for ``uv``.
     """
     corr = as_correlation(rho)
     u = grid.nodes
-    U, V = np.meshgrid(u, u, indexing="ij")
-    bridge = np.minimum(U, V) - U * V
-    cross = _copula_matrix(u, corr.rho) - U * V
-    return np.block([[bridge, cross], [cross.T, bridge]])
+    m = u.size
+    cov = np.empty((2 * m, 2 * m))
+    bridge, cross = cov[:m, :m], cov[:m, m:]
+    uv = np.multiply.outer(u, u)
+    np.minimum.outer(u, u, out=bridge)
+    bridge -= uv
+    cov[m:, m:] = bridge
+    _copula_matrix(u, corr.rho, out=cross)
+    cross -= uv
+    cov[m:, :m] = cross.T
+    return cov
 
 
+# the newest factor only: limit-compare reuses a factor across its n loop
+# only while the grid stays the same; a miss frees the old one first
 _factor_cache: dict = {}
 
 
@@ -252,11 +274,14 @@ def _cholesky_factor(grid: GridSpec, rho: float) -> np.ndarray:
     hit = _factor_cache.get(key)
     if hit is not None:
         return hit
+    _factor_cache.clear()
     cov = bridge_covariance(grid, rho)
-    eye = np.eye(cov.shape[0])
+    # each rung factors cov with diag + jitter on its diagonal, in place
+    diag = cov.diagonal().copy()
     for jitter in _JITTERS:
+        np.fill_diagonal(cov, diag + jitter)
         try:
-            L = np.linalg.cholesky(cov + jitter * eye)
+            L = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             continue
         if jitter > _JITTER_QUIET:
@@ -264,8 +289,6 @@ def _cholesky_factor(grid: GridSpec, rho: float) -> np.ndarray:
                 f"bridge covariance needed diagonal jitter {jitter:g} "
                 f"(m={grid.m}, delta={grid.delta:g}, rho={rho}); results "
                 f"carry noise at that scale", RuntimeWarning, stacklevel=3)
-        if len(_factor_cache) > 16:
-            _factor_cache.clear()
         _factor_cache[key] = L
         return L
     raise CovarianceError(
@@ -338,11 +361,12 @@ def simulate_bridge_pair_coupled(grid: GridSpec, rho, m_sample: int,
 # the functional and its analytic companions
 # --------------------------------------------------------------------------
 
-def _functional_rows(bx: np.ndarray, by: np.ndarray,
-                     grid: GridSpec) -> np.ndarray:
-    h = np.asarray(density_quantile_h(grid.nodes))
+def _functional_rows(bx: np.ndarray, by: np.ndarray, nodes: np.ndarray,
+                     h: np.ndarray) -> np.ndarray:
+    """Trapezoidal ``int ((bx - by)/h)^2`` of each row; ``h`` is
+    ``density_quantile_h(nodes)``."""
     y = ((bx - by) / h) ** 2
-    return np.trapezoid(y, x=grid.nodes, axis=-1)
+    return np.trapezoid(y, x=nodes, axis=-1)
 
 
 def g_functional(pair: BridgePair) -> float:
@@ -353,7 +377,9 @@ def g_functional(pair: BridgePair) -> float:
     exact expectation given by :func:`truncation_bias`; the total omitted
     expectation as ``delta -> 0`` is unbounded.
     """
-    return float(_functional_rows(pair.bx, pair.by, pair.grid))
+    nodes = pair.grid.nodes
+    return float(_functional_rows(pair.bx, pair.by, nodes,
+                                  np.asarray(density_quantile_h(nodes))))
 
 
 def expected_functional(grid: GridSpec, rho) -> float:
@@ -449,7 +475,9 @@ def sample_limit_law(rho, grid: GridSpec, n_draws: int, mechanism: str,
             "deliberately")
     keys, parts, width, bridges = _mechanism(mechanism, grid, corr.rho, seed,
                                              range(n_draws), m_sample)
+    h = np.asarray(density_quantile_h(grid.nodes))
     values = _replicate(keys, parts, width,
-                        lambda u: _functional_rows(*bridges(u), grid), workers)
+                        lambda u: _functional_rows(*bridges(u), grid.nodes, h),
+                        workers)
     return LimitSample(values=values, rho=corr, mechanism=mechanism,
                        grid=grid, seed=seed)

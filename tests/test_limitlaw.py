@@ -1,6 +1,8 @@
 """Coupled-bridge simulation: grids, covariance fidelity, two mechanisms."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 from scipy.special import ndtri, smirnov
 
-from w2gauss import (BridgePair, Correlation, DomainError, GridSpec,
+from w2gauss import (BridgePair, Correlation, CovarianceError, DomainError,
+                     GridSpec,
                      MECHANISMS, bridge_covariance, build_grid,
                      copula_diagonal_gap, density_quantile_h,
                      expected_functional, g_functional,
@@ -140,6 +143,117 @@ def test_copula_matrix_matches_full_grid_construction(rho):
     nodes = build_grid(512, 1.25e-5).nodes
     got = _copula_matrix(nodes, rho)
     assert got.tobytes() == _copula_matrix_full_grid(nodes, rho).tobytes()
+
+
+def _bridge_covariance_reference(grid, rho):
+    """Reference: the meshgrid / ``np.block`` assembly of the covariance."""
+    u = grid.nodes
+    U, V = np.meshgrid(u, u, indexing="ij")
+    bridge = np.minimum(U, V) - U * V
+    cross = _copula_matrix(u, rho) - U * V
+    return np.block([[bridge, cross], [cross.T, bridge]])
+
+
+def _cholesky_reference(cov):
+    """Reference: the jitter ladder on fresh ``cov + jitter * eye`` copies."""
+    eye = np.eye(cov.shape[0])
+    for jitter in limitlaw._JITTERS:
+        try:
+            return np.linalg.cholesky(cov + jitter * eye)
+        except np.linalg.LinAlgError:
+            continue
+    raise AssertionError("reference ladder failed")
+
+
+@pytest.mark.parametrize("m", [16, 256, 512])
+@pytest.mark.parametrize("rho", [0.45, 0.95, -0.5])
+def test_covariance_and_factor_match_reference_construction(monkeypatch, m,
+                                                            rho):
+    grid = build_grid(m, 1.25e-5)
+    cov = _bridge_covariance_reference(grid, rho)
+    assert bridge_covariance(grid, rho).tobytes() == cov.tobytes()
+    monkeypatch.setattr(limitlaw, "_factor_cache", {})
+    L = limitlaw._cholesky_factor(grid, rho)
+    assert L.tobytes() == _cholesky_reference(cov).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [7, 64 * 65 // 2 + 1])
+def test_copula_matrix_bytes_do_not_depend_on_chunk(monkeypatch, chunk):
+    nodes = build_grid(64, 1e-4).nodes
+    want = _copula_matrix(nodes, 0.95)
+    monkeypatch.setattr(limitlaw, "_COPULA_CHUNK", chunk)
+    assert _copula_matrix(nodes, 0.95).tobytes() == want.tobytes()
+    out = np.full((2 * nodes.size, 2 * nodes.size), np.nan)
+    _copula_matrix(nodes, 0.95, out=out[:64, 64:])
+    assert out[:64, 64:].tobytes() == want.tobytes()
+    assert np.isnan(out[:, :64]).all() and np.isnan(out[64:]).all()
+
+
+def test_cholesky_factor_peak_memory(monkeypatch):
+    # the covariance and L, each 2 MiB at m = 256; LAPACK's working copy
+    # is allocated outside numpy's traced allocator
+    grid = build_grid(256, 1.25e-5)
+    monkeypatch.setattr(limitlaw, "_factor_cache", {})
+    tracemalloc.start()
+    try:
+        L = limitlaw._cholesky_factor(grid, 0.95)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * L.nbytes
+
+
+@pytest.mark.parametrize("failures", range(len(limitlaw._JITTERS) + 1))
+def test_cholesky_jitter_ladder(monkeypatch, failures):
+    grid = build_grid(32, 1e-3)
+    cov = _bridge_covariance_reference(grid, 0.6)
+    real = np.linalg.cholesky
+    seen = []
+
+    def flaky(a):
+        seen.append(np.array(a))
+        if len(seen) <= failures:
+            raise np.linalg.LinAlgError("forced failure")
+        return real(a)
+
+    monkeypatch.setattr(limitlaw, "_factor_cache", {})
+    monkeypatch.setattr(np.linalg, "cholesky", flaky)
+    rungs = limitlaw._JITTERS
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if failures == len(rungs):
+            with pytest.raises(CovarianceError, match="jitter"):
+                limitlaw._cholesky_factor(grid, 0.6)
+        else:
+            L = limitlaw._cholesky_factor(grid, 0.6)
+    assert len(seen) == min(failures + 1, len(rungs))
+    eye = np.eye(cov.shape[0])
+    for a, jitter in zip(seen, rungs):
+        # the original diagonal plus this rung's jitter, not a running sum
+        assert a.tobytes() == (cov + jitter * eye).tobytes()
+    warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if failures == len(rungs):
+        assert not warned and not limitlaw._factor_cache
+        return
+    jitter = rungs[failures]
+    assert L.tobytes() == real(cov + jitter * eye).tobytes()
+    if jitter > limitlaw._JITTER_QUIET:
+        assert len(warned) == 1
+        assert f"jitter {jitter:g}" in str(warned[0].message)
+    else:
+        assert not warned
+
+
+def test_factor_cache_keeps_only_the_newest(monkeypatch):
+    monkeypatch.setattr(limitlaw, "_factor_cache", {})
+    cache = limitlaw._factor_cache
+    for delta in (1e-4, 1e-5, 1e-6):
+        grid = build_grid(512, delta)
+        L = limitlaw._cholesky_factor(grid, 0.6)
+        # a new grid replaces the held factor: one 8 MiB L at m = 512
+        assert list(cache) == [(grid.nodes.tobytes(), 0.6)]
+        assert cache[(grid.nodes.tobytes(), 0.6)] is L
+        assert limitlaw._cholesky_factor(grid, 0.6) is L
 
 
 def test_rho_near_one_bridges_coincide():
