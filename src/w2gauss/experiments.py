@@ -122,6 +122,12 @@ class ExperimentConfig:
 # replication engine
 # --------------------------------------------------------------------------
 
+def _sort_rows(block: np.ndarray) -> np.ndarray:
+    """Sort ``block`` in place along its last axis; returns ``block``."""
+    block.sort(axis=-1)
+    return block
+
+
 def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
                    rho: float | None = None, workers: int = 1) -> np.ndarray:
     """``W_2^2`` of replications ``0 .. reps-1``, one value per replication.
@@ -135,10 +141,10 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
 
     The Philox keys of all ``reps`` substreams are derived up front in one
     vectorised pass (:func:`streams._philox_keys`); :func:`streams._replicate`
-    runs the block pipeline, finishing each block with the normal transform,
-    sort, sortedness check and W2 reduction.  Each block's W2 values are one
-    row-wise reduction (:func:`wasserstein._w2sq_rows`) of the rank-wise
-    gaps: ``Z - m`` against the cell means of
+    runs the block pipeline, finishing each block in place with the normal
+    transform, sort (:func:`_sort_rows`), sortedness check and W2
+    reduction.  Each block's W2 values are one row-wise reduction
+    (:func:`wasserstein._w2sq_rows`) of the rank-wise gaps: ``Z - m`` against the cell means of
     :func:`wasserstein._cell_tables`, or ``X - Y`` for pairs.  One-sample
     blocks are sorted as uniforms, before ``ndtri``: the transform is
     increasing and runs faster on sorted input.  Should rounding leave a
@@ -157,19 +163,19 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
         m, _, within = _cell_tables(n)
 
     def finish(u: np.ndarray) -> np.ndarray:
-        # u[0]: each replication's first n uniforms (X's); u[1], pairs: Z's
+        # u[0]: each replication's first n uniforms (X's); u[1], pairs: Z's.
+        # The block is the pipeline's buffer: every stage overwrites it.
         if pairs:
             _normals_inplace(u)
             _correlate_inplace(u[0], u[1], rho)  # u[1] becomes Y
-            s = np.sort(u, axis=2)
-            _check_sorted_rows(s.reshape(-1, n))
-            return _w2sq_rows(np.subtract(s[0], s[1], out=s[0]))
-        s = _normals_inplace(np.sort(u, axis=2))
-        ordered = bool((s[..., 1:] >= s[..., :-1]).all())
+            _check_sorted_rows(_sort_rows(u))
+            return _w2sq_rows(np.subtract(u[0], u[1], out=u[0]))
+        _normals_inplace(_sort_rows(u))
+        ordered = bool((u[..., 1:] >= u[..., :-1]).all())
         if not ordered:
-            s = np.sort(s, axis=2)
-        _check_sorted_rows(s.reshape(-1, n), ordered)
-        return _w2sq_rows(np.subtract(s[0], m, out=s[0]), within)
+            _sort_rows(u)
+        _check_sorted_rows(u, ordered)
+        return _w2sq_rows(np.subtract(u[0], m, out=u[0]), within)
 
     keys = _philox_keys(seed, (domain, n), range(reps))
     return _replicate(keys, 2 if pairs else 1, n, finish, workers)
@@ -266,13 +272,17 @@ def run_limit_compare(cfg: ExperimentConfig) -> dict[str, list[dict]]:
         grid = build_grid(cfg.m, delta)
         finite = _two_sample_draws(cfg, n, "limit_compare")
         samples = {f"finite_n_{n}": finite}
+        # gaussian_grid, the BLAS stage, is drawn last: OpenBLAS's idle
+        # threads spin after each matrix product and would slow the
+        # empirical_coupling draws on the same cores
+        draws = {mech: sample_limit_law(rho, grid, cfg.reps, mech, cfg.seed,
+                                        m_sample=cfg.m_sample,
+                                        divergence_demo=cfg.divergence_demo,
+                                        workers=cfg.workers)
+                 for mech in ("empirical_coupling", "gaussian_grid")}
         for mech in MECHANISMS:
-            s = sample_limit_law(rho, grid, cfg.reps, mech, cfg.seed,
-                                 m_sample=cfg.m_sample,
-                                 divergence_demo=cfg.divergence_demo,
-                                 workers=cfg.workers)
-            samples[mech] = s.values
-            limit_rows.append(dict(s.summary(), **provenance))
+            samples[mech] = draws[mech].values
+            limit_rows.append(dict(draws[mech].summary(), **provenance))
         limit_rows.append(dict(
             _draw_summary(finite, rho, f"finite_n_{n}", cfg.m, delta,
                           cfg.seed), **provenance))

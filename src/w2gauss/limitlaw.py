@@ -318,9 +318,9 @@ def _mechanism(mechanism: str, grid: GridSpec, rho: float, seed: int,
     def coupled(u: np.ndarray) -> np.ndarray:
         _normals_inplace(u)
         _correlate_inplace(u[0], u[1], rho)  # u[1] becomes Y
-        s = np.sort(u, axis=2).reshape(-1, m_sample)
-        counts = np.array([np.searchsorted(row, xq, side="right")
-                           for row in s]).reshape(2, -1, grid.m)
+        u.sort(axis=2)  # in place: the block is the pipeline's buffer
+        counts = np.array([[np.searchsorted(row, xq, side="right")
+                            for row in part] for part in u])
         return (counts / m_sample - grid.nodes) * math.sqrt(m_sample)
     return _philox_keys(seed, ("limit_empirical",), draws), 2, m_sample, coupled
 

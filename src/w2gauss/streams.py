@@ -10,10 +10,12 @@ count — so parallel runs are byte-reproducible.
 key into a 128-bit Philox key.  Seeded replications need thousands of
 streams per run, so :func:`_philox_keys` does that hashing for a whole
 range of replication indices in one vectorised pass, and
-:func:`_keyed_uniforms` re-keys one private ``Philox`` per replication and
-turns its raw 64-bit words into the same uniforms :func:`uniforms_open`
-draws from the same stream.  :func:`_replicate`, the one replication loop,
-hands blocks of them to a caller's ``finish`` (W2 engine or limit law).
+:func:`_keyed_uniforms` re-keys one private ``Philox`` per replication
+through a state dict of plain ints and fills each row straight from the
+generator, giving the same uniforms :func:`uniforms_open` draws from the
+same stream.  :func:`_replicate`, the one replication loop, hands blocks of
+them to a caller's ``finish`` (W2 engine or limit law), which may overwrite
+the block in place.
 
 Normal variates are produced by inverse-cdf transform of open-interval
 uniforms, so a single audited quantile path feeds all samplers, and
@@ -53,7 +55,9 @@ DOMAINS = {
     "generic": 10,
 }
 
-_TWO53 = float(2 ** 53)
+# open uniforms are (k + 1/2) / 2^53 for 53-bit k, clamped below 1
+_HALF_ULP = 2.0 ** -54
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 
 # numpy's SeedSequence hash constants (pool of four 32-bit words)
 _POOL = 4
@@ -179,45 +183,64 @@ def _philox_keys(seed: int, key: tuple, reps: range) -> np.ndarray:
     return state.view("<u8").astype(np.uint64)
 
 
-def _open_unit(k: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Set float ``out`` to ``(k + 1/2) / 2^53`` for 53-bit integers ``k``.
+def _below_one(u: np.ndarray) -> np.ndarray:
+    """Clamp open uniforms at ``1 - 2^-53``, in place.
 
-    ``out`` may share ``k``'s memory.  The cast is exact below 2^53, so
-    this is ``(k + 0.5) / 2^53`` as numpy evaluates it.
+    ``(k + 1/2) / 2^53`` rounds ties-to-even to exactly 1.0 at the one
+    ``k = 2^53 - 1`` (probability 2^-53 per value), where ``ndtri`` would
+    give ``+inf``; every other ``k`` already lies below 1 and is unchanged.
     """
-    np.copyto(out, k, casting="unsafe")
-    out += 0.5
-    out /= _TWO53
-    return out
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def _open_unit(k: np.ndarray) -> np.ndarray:
+    """``(k + 1/2) / 2^53`` for 53-bit integers ``k``, clamped below 1.
+
+    The cast is exact below 2^53 and the scaling by 2^-53 is exact, so
+    the one rounding is that of ``k + 0.5``.
+    """
+    u = np.array(k, dtype=np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return _below_one(u)
 
 
 def uniforms_open(rng: np.random.Generator, size) -> np.ndarray:
-    """Uniforms strictly inside (0, 1): ``(k + 1/2) / 2^53`` on 53-bit k."""
-    k = rng.integers(0, 2 ** 53, size=size, dtype=np.int64)
-    return _open_unit(k, np.empty(np.shape(k)))
+    """Uniforms strictly inside (0, 1): ``(k + 1/2) / 2^53`` on 53-bit k,
+    at most ``1 - 2^-53``."""
+    return _open_unit(rng.integers(0, 2 ** 53, size=size, dtype=np.int64))
 
 
 def _keyed_uniforms(keys: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill ``out[:, r]`` from the Philox stream keyed by ``keys[r]``.
 
-    ``out`` is a float64 ``(parts, len(keys), n)`` array.  Row ``r`` gets
-    what ``parts`` calls of ``uniforms_open(g, n)`` give on that stream:
-    ``integers(0, 2**53)`` draws one raw word ``w`` per value and returns
-    ``w >> 11`` (Lemire's method never rejects on a power-of-two range), so
-    the raw words go straight into ``out`` and the block is converted
-    once.  One private Philox is re-keyed per row, with a zero counter and
-    an empty buffer, as a freshly seeded one starts.
+    ``out`` is a float64 ``(parts, len(keys), n)`` array whose rows are
+    contiguous.  Row ``r`` gets what ``parts`` calls of
+    ``uniforms_open(g, n)`` give on that stream.  ``integers(0, 2**53)``
+    turns each raw word ``w`` into ``k = w >> 11`` (Lemire's method never
+    rejects on a power-of-two range), and ``Generator.random`` writes
+    ``k * 2^-53`` from the same word, so each row is filled straight from
+    the generator and the block finished in one pass that adds 2^-54
+    (then :func:`_below_one`): ``k * 2^-53 + 2^-54`` rounds the same real
+    number ``(2k + 1) 2^-54`` that ``(k + 1/2) / 2^53`` rounds, so the bits
+    are equal.  One private Philox is re-keyed per row through a state
+    dict of plain ints, with a zero counter and an empty buffer, as a
+    freshly seeded one starts.
     """
-    parts, _, n = out.shape
-    raw = out.view(np.uint64)
+    parts = out.shape[0]
     bits = np.random.Philox(0)
-    state = bits.state
-    for r, key in enumerate(keys):
+    gen = np.random.Generator(bits)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for r, key in enumerate(keys.tolist()):
         state["state"]["key"] = key
         bits.state = state
-        raw[:, r] = bits.random_raw(parts * n).reshape(parts, n)
-    np.right_shift(raw, 11, out=raw)
-    return _open_unit(raw.view(np.int64), out=out)
+        for p in range(parts):
+            gen.random(out=out[p, r])
+    out += _HALF_ULP
+    return _below_one(out)
 
 
 def _normals_inplace(u: np.ndarray) -> np.ndarray:
@@ -274,11 +297,14 @@ def _replicate(keys: np.ndarray, parts: int, width: int, finish,
     """One value per key: ``finish(block)`` for each block of keyed uniforms.
 
     Row ``r`` of a ``(parts, rows, width)`` block holds ``parts`` calls of
-    ``uniforms_open(g, width)`` on the stream of its key.  Blocks hold about
-    2^17 numbers (1 MiB), their sizes balanced to within one row: a block of
-    a few rows could send a caller's matrix product to another BLAS kernel,
-    with other rounding.  The calling thread draws each block
-    (:func:`_keyed_uniforms`); ``finish`` runs inline when ``workers == 1``.
+    ``uniforms_open(g, width)`` on the stream of its key.  ``finish`` may
+    overwrite the block: its buffer is drawn into again only after
+    ``finish`` has returned, and the values it returns are copied out
+    before that.  Blocks hold about 2^17 numbers (1 MiB), their sizes
+    balanced to within one row: a block of a few rows could send a caller's
+    matrix product to another BLAS kernel, with other rounding.  The calling
+    thread draws each block (:func:`_keyed_uniforms`); ``finish`` runs
+    inline when ``workers == 1``.
     Otherwise a pool of ``threads = min(workers - 1, number of blocks)``
     threads finishes them: the calling thread submits each block it draws to
     the pool while at most ``threads + 1`` blocks are pending there, and

@@ -207,22 +207,11 @@ def test_replicate_w2sq_matches_per_replication_loop(monkeypatch, rho,
             assert got.tobytes() == want, (reps, workers)
 
 
-class _UnsortedNumpy:
-    """``numpy`` as the engine sees it, with a ``sort`` that does not sort."""
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    @staticmethod
-    def sort(a, axis=-1):
-        return np.array(a)
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_replicate_w2sq_checks_every_block(monkeypatch, workers):
-    # unsorted rows
+    # unsorted rows: the engine's in-place block sort leaves them as drawn
     with monkeypatch.context() as m:
-        m.setattr(experiments, "np", _UnsortedNumpy())
+        m.setattr(experiments, "_sort_rows", lambda block: block)
         with pytest.raises(DomainError, match="nondecreasing"):
             replicate_w2sq(5, "generic", 16, 10, workers=workers)
     # a NaN in the fourth row of the block

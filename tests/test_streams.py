@@ -103,6 +103,41 @@ def test_keyed_uniforms_match_uniforms_open(parts, n):
             assert part[r].tobytes() == uniforms_open(g, n).tobytes()
 
 
+def test_keyed_uniforms_high_key_words_into_reused_buffer():
+    # key words at and above 2^63 pass through tolist() and the Philox
+    # state setter; the buffer is a NaN-filled view of a larger one, as
+    # the pipeline reuses its block buffers
+    keys = np.array([[2 ** 64 - 1, 2 ** 63], [2 ** 63, 0],
+                     [12345, 2 ** 64 - 2]], dtype=np.uint64)
+    for parts in (1, 2):
+        buffer = np.full((parts, len(keys) + 2, 257), np.nan)
+        out = buffer[:, :len(keys)]
+        assert streams._keyed_uniforms(keys, out) is out
+        for r, key in enumerate(keys):
+            g = np.random.Generator(np.random.Philox(key=key))
+            for part in out:
+                assert part[r].tobytes() == uniforms_open(g, 257).tobytes()
+        assert np.isnan(buffer[:, len(keys):]).all()
+
+
+def test_open_unit_conversion_at_lattice_edges():
+    # (k + 1/2) / 2^53 rounds ties-to-even to 1.0 at k = 2^53 - 1; both the
+    # integer path of uniforms_open and the keyed fill (k 2^-53 from
+    # Generator.random, plus 2^-54) clamp that one value at 1 - 2^-53
+    ks = np.array([0, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 2,
+                   2 ** 53 - 1], dtype=np.int64)
+    former = (ks + 0.5) / 2 ** 53
+    u = streams._open_unit(ks)
+    keyed = ks * 2.0 ** -53
+    keyed += streams._HALF_ULP
+    streams._below_one(keyed)
+    assert keyed.tobytes() == u.tobytes()
+    assert (u > 0.0).all() and (u < 1.0).all()
+    assert u[:-1].tobytes() == former[:-1].tobytes()
+    assert former[-1] == 1.0
+    assert u[-1] == 1.0 - 2.0 ** -53
+
+
 def test_uniforms_open_strictly_interior():
     rng = substream(7, "generic")
     u = uniforms_open(rng, 10 ** 6)

@@ -123,6 +123,28 @@ def test_affine_equivariance():
                                                           rel=1e-10)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5000), a=st.floats(1e-2, 1e2), b=st.floats(-1e2, 1e2),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=5000, a=1e-2, b=1e2, seed=0)
+@example(n=100, a=1e-2, b=1e2, seed=0)  # 1.5e-12 from s - (mu + sigma m)
+@example(n=1, a=1e2, b=-1e2, seed=1)
+def test_affine_equivariance_property(n, a, b, seed):
+    # W2^2(a X + b, N(a mu + b, (a sigma)^2)) = a^2 W2^2(X, N(mu, sigma^2)).
+    # Every input sits on a dyadic grid (x, mu, sigma on 2^-10, a on 2^-20,
+    # b on 2^-30) so that a x + b, a mu + b and a sigma are exact: rounding
+    # a x + b at |b| = 100, a = 0.01 alone moves the distance by ~7e-12
+    a, b = round(a * 2 ** 20) / 2 ** 20, round(b * 2 ** 30) / 2 ** 30
+    g = substream(seed, "generic", n)
+    x = np.round(np.sort(standard_normals(g, n)) * 2 ** 10) / 2 ** 10
+    mu = round(g.uniform(-1.0, 1.0) * 2 ** 10) / 2 ** 10
+    sigma = round(g.uniform(0.5, 2.0) * 2 ** 10) / 2 ** 10
+    base = w2sq_vs_gaussian(SortedSample(x), GaussianReference(mu, sigma))
+    moved = w2sq_vs_gaussian(SortedSample(a * x + b),
+                             GaussianReference(a * mu + b, a * sigma))
+    assert moved == pytest.approx(a * a * base, rel=1e-12, abs=0.0)
+
+
 def test_w2_nonnegative_and_zero_only_in_limit():
     rng = np.random.default_rng(17)
     for n in (1, 5, 100, 5000):
