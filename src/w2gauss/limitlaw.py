@@ -65,6 +65,8 @@ _JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9)
 _JITTER_QUIET = 1e-12
 # copula pairs per _bvnu_vec call: bounds the quadrature's temporaries
 _COPULA_CHUNK = 4096
+# columns per panel and per trailing-update strip of the blocked Cholesky
+_PANEL = 128
 
 
 @dataclasses.dataclass(frozen=True)
@@ -269,20 +271,74 @@ def bridge_covariance(grid: GridSpec, rho) -> np.ndarray:
 _factor_cache: dict = {}
 
 
+def _strips(n: int, start: int = 0):
+    """``(start, stop)`` of each ``_PANEL``-column strip from ``start`` to
+    ``n``."""
+    return ((s, min(s + _PANEL, n)) for s in range(start, n, _PANEL))
+
+
+def _cholesky_inplace(a: np.ndarray) -> bool:
+    """Overwrite the lower triangle of symmetric ``a`` with its Cholesky
+    factor; ``False`` at the first pivot that is not ``> 0``.
+
+    Right-looking blocked Cholesky (Golub & Van Loan, *Matrix
+    Computations*, 4.2) on ``_PANEL``-column panels, built on matrix
+    products only, so its bytes do not depend on the BLAS thread count.
+    Until it succeeds the strict upper triangle is never written, so after
+    a failure it still holds the input's off-diagonal entries; a success
+    zeroes it.
+    """
+    n = a.shape[0]
+    lower = np.tri(_PANEL, dtype=bool)
+    for s, e in _strips(n):
+        for j in range(s, e):
+            col = a[j:, j]
+            if j > s:
+                col -= a[j:, s:j] @ a[j, s:j]
+            pivot = col[0]
+            if not pivot > 0.0:
+                return False
+            col[0] = math.sqrt(pivot)
+            col[1:] /= col[0]
+        panel = a[:, s:e]
+        for t, te in _strips(n, e):
+            # the copied right factor makes this a gemm, never a syrk
+            update = panel[t:] @ panel[t:te].T.copy()
+            w = te - t
+            np.subtract(a[t:te, t:te], update[:w], out=a[t:te, t:te],
+                        where=lower[:w, :w])
+            a[te:, t:te] -= update[w:]
+    for s, e in _strips(n):
+        a[:s, s:e] = 0.0
+        np.copyto(a[s:e, s:e], 0.0, where=~lower[:e - s, :e - s])
+    return True
+
+
+def _restore_lower(a: np.ndarray) -> None:
+    """Mirror the strict upper triangle of ``a`` onto its strict lower one."""
+    n = a.shape[0]
+    strict = np.tri(_PANEL, k=-1, dtype=bool)
+    for s, e in _strips(n):
+        a[e:, s:e] = a[s:e, e:].T
+        np.copyto(a[s:e, s:e], a[s:e, s:e].T.copy(),
+                  where=strict[:e - s, :e - s])
+
+
 def _cholesky_factor(grid: GridSpec, rho: float) -> np.ndarray:
     key = (grid.nodes.tobytes(), rho)
     hit = _factor_cache.get(key)
     if hit is not None:
         return hit
     _factor_cache.clear()
-    cov = bridge_covariance(grid, rho)
-    # each rung factors cov with diag + jitter on its diagonal, in place
-    diag = cov.diagonal().copy()
-    for jitter in _JITTERS:
-        np.fill_diagonal(cov, diag + jitter)
-        try:
-            L = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
+    L = bridge_covariance(grid, rho)
+    # each rung factors the covariance with diag + jitter on its diagonal,
+    # in place; a failed rung leaves the upper triangle to restore from
+    diag = L.diagonal().copy()
+    for i, jitter in enumerate(_JITTERS):
+        if i:
+            _restore_lower(L)
+        np.fill_diagonal(L, diag + jitter)
+        if not _cholesky_inplace(L):
             continue
         if jitter > _JITTER_QUIET:
             warnings.warn(

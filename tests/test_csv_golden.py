@@ -6,9 +6,10 @@ reported digit changes a digest here, and must say why in CHANGES.md
 when it updates the digest.  A different numpy, scipy or CPU instruction
 set can move last digits too, and with them these digests.
 
-None of these CSV bytes depends on the number of OpenBLAS threads;
-limit-compare is left out because its Cholesky factor does (see
-``test_csv_bytes_do_not_depend_on_blas_threads``).
+None of these CSV bytes depends on the number of OpenBLAS threads (see
+``test_csv_bytes_do_not_depend_on_blas_threads``): the limit-law Cholesky
+factor is built from matrix products alone, whose bytes do not move with
+the thread count.
 """
 
 import hashlib
@@ -18,38 +19,45 @@ import pytest
 
 from w2gauss import ExperimentConfig, run_experiment, write_outputs
 
-# case -> (config, CSV file, sha256 of its bytes)
+# case -> (config, {CSV file: sha256 of its bytes})
 CASES = {
     "one_sample": (
         dict(experiment="one_sample", seed=7, ns=(64, 1000), reps=200),
-        "one_sample.csv",
-        "222fd652fe95092285ae98579fb6affe8a9431971c91fa428b7e09c4b1e304a5"),
+        {"one_sample.csv":
+         "222fd652fe95092285ae98579fb6affe8a9431971c91fa428b7e09c4b1e304a5"}),
     "two_sample": (
         dict(experiment="two_sample", seed=3, ns=(128, 2000), reps=100,
              rho=0.6),
-        "two_sample.csv",
-        "44852d40c45f04ba440a22591a64e67c8e89867f227c33c69b0da73993d3440d"),
+        {"two_sample.csv":
+         "44852d40c45f04ba440a22591a64e67c8e89867f227c33c69b0da73993d3440d"}),
     "expansions": (
         dict(experiment="expansions", seed=1),
-        "expansions.csv",
-        "5e4658521fa78c85c7a945ba1dd8e9bc765e6fbb9e0ddb229484b48d7f1fe782"),
+        {"expansions.csv":
+         "5e4658521fa78c85c7a945ba1dd8e9bc765e6fbb9e0ddb229484b48d7f1fe782"}),
     "integrals": (
         dict(experiment="integrals", seed=1, rho=0.6),
-        "integrals.csv",
-        "1f68056607402c90f1538c16eb9388d564053aba1b3cd6666c09d54d5952fed0"),
+        {"integrals.csv":
+         "1f68056607402c90f1538c16eb9388d564053aba1b3cd6666c09d54d5952fed0"}),
     "moments": (
         dict(experiment="moments", seed=2, ns=(10 ** 4,), reps=3000),
-        "moments.csv",
-        "130c0c1ff5668cd9531db40ba53f2d97c780b74bca12fe045a6d352b168520d3"),
+        {"moments.csv":
+         "130c0c1ff5668cd9531db40ba53f2d97c780b74bca12fe045a6d352b168520d3"}),
+    "limit_compare": (
+        dict(experiment="limit_compare", seed=34, ns=(2000,), reps=60,
+             rho=0.6, m=64, delta=1e-3),
+        {"limit.csv":
+         "0727d85b7d806dff33587712f41741f2f9f97c6cda567b84ea67402c8e4ff2b7",
+         "ks.csv":
+         "e0d2a60e8a5e0b39f226565fba0014568672da95e58535c34bb4623892ba6a39"}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_csv_body_digest(tmp_path, case):
-    config, name, digest = CASES[case]
+    config, digests = CASES[case]
     cfg = ExperimentConfig(out=str(tmp_path), **config)
     paths = write_outputs(run_experiment(cfg), cfg.out)
     assert sorted(os.path.basename(p) for p in paths
-                  if p.endswith(".csv")) == [name]
-    body = (tmp_path / name).read_bytes()
-    assert hashlib.sha256(body).hexdigest() == digest
+                  if p.endswith(".csv")) == sorted(digests)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in digests} == digests

@@ -27,8 +27,8 @@ def test_harmonic_sums_small_k_exact():
     s1 = harmonic_sums(1)
     assert (s1.s1, s1.s2) == (1.0, 1.0)
     s3 = harmonic_sums(3)
-    assert s3.s1 == pytest.approx(11.0 / 6.0, rel=1e-15)
-    assert s3.s2 == pytest.approx(49.0 / 36.0, rel=1e-15)
+    assert s3.s1 == pytest.approx(11.0 / 6.0, rel=1e-15, abs=0.0)
+    assert s3.s2 == pytest.approx(49.0 / 36.0, rel=1e-15, abs=0.0)
     with pytest.raises(DomainError):
         harmonic_sums(-1)
 

@@ -109,7 +109,7 @@ def test_d1n_frozen_ratios():
         r = d1n(n)
         assert r.centered_or_ratio == pytest.approx(ratio, rel=1e-9)
         assert r.centered_or_ratio == pytest.approx(r.value / LOGLOG(n),
-                                                    rel=1e-12)
+                                                    rel=1e-12, abs=0.0)
 
 
 def test_d1n_ratio_stays_bounded():

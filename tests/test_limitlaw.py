@@ -45,7 +45,7 @@ def test_grid_basic_shape():
     assert u.shape == (48,)
     assert np.all(np.diff(u) > 0.0)
     assert u[0] >= 1e-4 and u[-1] <= 1.0 - 1e-4
-    assert u[0] == pytest.approx(1e-4, rel=1e-12)
+    assert u[0] == pytest.approx(1e-4, rel=1e-12, abs=0.0)
 
 
 def test_grid_exact_mirror_symmetry():
@@ -118,7 +118,7 @@ def test_bridge_covariance_blocks(rho):
     u = grid.nodes
     # diagonal block: min(u,v) - uv; cross block: C_rho(u,v) - uv
     assert sigma[2, 5] == pytest.approx(min(u[2], u[5]) - u[2] * u[5],
-                                        rel=1e-12)
+                                        rel=1e-12, abs=0.0)
     for i in range(m):
         for j in range(m):
             assert sigma[i, m + j] == pytest.approx(
@@ -155,11 +155,12 @@ def _bridge_covariance_reference(grid, rho):
 
 
 def _cholesky_reference(cov):
-    """Reference: the jitter ladder on fresh ``cov + jitter * eye`` copies."""
+    """Reference: LAPACK on fresh ``cov + jitter * eye`` copies, as
+    ``(jitter, L)`` of the first rung that factors."""
     eye = np.eye(cov.shape[0])
     for jitter in limitlaw._JITTERS:
         try:
-            return np.linalg.cholesky(cov + jitter * eye)
+            return jitter, np.linalg.cholesky(cov + jitter * eye)
         except np.linalg.LinAlgError:
             continue
     raise AssertionError("reference ladder failed")
@@ -174,7 +175,36 @@ def test_covariance_and_factor_match_reference_construction(monkeypatch, m,
     assert bridge_covariance(grid, rho).tobytes() == cov.tobytes()
     monkeypatch.setattr(limitlaw, "_factor_cache", {})
     L = limitlaw._cholesky_factor(grid, rho)
-    assert L.tobytes() == _cholesky_reference(cov).tobytes()
+    jitter, ref = _cholesky_reference(cov)
+    assert not np.triu(L, 1).any()
+    assert np.abs(L @ L.T - (cov + jitter * np.eye(2 * m))).max() <= 1e-15
+    assert np.abs(L - ref).max() <= 1e-13
+
+
+def _factored(a):
+    """``a`` after the blocked Cholesky, which must succeed."""
+    assert limitlaw._cholesky_inplace(a)
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(16, 96), rho=st.floats(-0.95, 0.95),
+       delta=st.floats(1e-6, 1e-2), panel=st.sampled_from([7, 32, 128]))
+@example(m=96, rho=0.95, delta=1e-6, panel=128)
+def test_blocked_cholesky_property(m, rho, delta, panel):
+    cov = bridge_covariance(build_grid(m, delta), rho)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limitlaw, "_PANEL", panel)
+        L = _factored(cov.copy())
+        assert not np.triu(L, 1).any() and np.all(np.diag(L) > 0.0)
+        assert np.abs(L - np.linalg.cholesky(cov)).max() <= 1e-13
+        # flip the least eigenvalue: the factor must refuse, not raise, and
+        # leave the strict upper triangle for the ladder to restore from
+        lam, vec = np.linalg.eigh(cov)
+        bad = cov - 2.0 * lam[0] * np.outer(vec[:, 0], vec[:, 0])
+        a = bad.copy()
+        assert limitlaw._cholesky_inplace(a) is False
+        assert np.triu(a, 1).tobytes() == np.triu(bad, 1).tobytes()
 
 
 @pytest.mark.parametrize("chunk", [7, 64 * 65 // 2 + 1])
@@ -190,8 +220,9 @@ def test_copula_matrix_bytes_do_not_depend_on_chunk(monkeypatch, chunk):
 
 
 def test_cholesky_factor_peak_memory(monkeypatch):
-    # the covariance and L, each 2 MiB at m = 256; LAPACK's working copy
-    # is allocated outside numpy's traced allocator
+    # the covariance, factored in place into L (2 MiB at m = 256), plus
+    # the (m, m) uv temporary and the copula chunks: a second 2m x 2m
+    # array would cross 2 L
     grid = build_grid(256, 1.25e-5)
     monkeypatch.setattr(limitlaw, "_factor_cache", {})
     tracemalloc.start()
@@ -200,24 +231,31 @@ def test_cholesky_factor_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * L.nbytes
+    assert peak <= 2.0 * L.nbytes
 
 
 @pytest.mark.parametrize("failures", range(len(limitlaw._JITTERS) + 1))
 def test_cholesky_jitter_ladder(monkeypatch, failures):
     grid = build_grid(32, 1e-3)
     cov = _bridge_covariance_reference(grid, 0.6)
-    real = np.linalg.cholesky
+    n = cov.shape[0]
+    real = limitlaw._cholesky_inplace
     seen = []
 
     def flaky(a):
-        seen.append(np.array(a))
+        seen.append(a.copy())
         if len(seen) <= failures:
-            raise np.linalg.LinAlgError("forced failure")
+            # a genuine failure halfway down: the factor has already
+            # overwritten the lower triangle of the columns before it
+            a[n // 2, n // 2] = -1.0
+            assert real(a) is False
+            return False
         return real(a)
 
     monkeypatch.setattr(limitlaw, "_factor_cache", {})
-    monkeypatch.setattr(np.linalg, "cholesky", flaky)
+    monkeypatch.setattr(limitlaw, "_cholesky_inplace", flaky)
+    # panels narrower than the 64 columns, so failures span several strips
+    monkeypatch.setattr(limitlaw, "_PANEL", 24)
     rungs = limitlaw._JITTERS
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -227,7 +265,7 @@ def test_cholesky_jitter_ladder(monkeypatch, failures):
         else:
             L = limitlaw._cholesky_factor(grid, 0.6)
     assert len(seen) == min(failures + 1, len(rungs))
-    eye = np.eye(cov.shape[0])
+    eye = np.eye(n)
     for a, jitter in zip(seen, rungs):
         # the original diagonal plus this rung's jitter, not a running sum
         assert a.tobytes() == (cov + jitter * eye).tobytes()
@@ -236,7 +274,7 @@ def test_cholesky_jitter_ladder(monkeypatch, failures):
         assert not warned and not limitlaw._factor_cache
         return
     jitter = rungs[failures]
-    assert L.tobytes() == real(cov + jitter * eye).tobytes()
+    assert L.tobytes() == _factored(cov + jitter * eye).tobytes()
     if jitter > limitlaw._JITTER_QUIET:
         assert len(warned) == 1
         assert f"jitter {jitter:g}" in str(warned[0].message)

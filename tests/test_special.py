@@ -198,7 +198,7 @@ def test_quantile_tail_expansion_mirrored():
 def test_grouping_variants_are_identical():
     for u in (1.0 - 1e-4, 1.0 - 1e-9, 1.0 - 1e-14):
         g = quantile_tail_expansion_groupings(u)
-        assert g["absorbed"] == pytest.approx(g["split"], rel=1e-14)
+        assert g["absorbed"] == pytest.approx(g["split"], rel=1e-14, abs=0.0)
 
 
 def test_h_tail_expansion_deep():
@@ -288,7 +288,8 @@ def test_copula_basics_and_frechet_bounds():
             assert max(u + v - 1.0, 0.0) - 1e-12 <= c <= min(u, v) + 1e-12
             assert c == pytest.approx(gaussian_copula(v, u, rho), abs=1e-13)
     for u, v in zip(us[:10], vs[:10]):
-        assert gaussian_copula(u, v, 0.0) == pytest.approx(u * v, rel=1e-12)
+        assert gaussian_copula(u, v, 0.0) == pytest.approx(u * v, rel=1e-12,
+                                                           abs=0.0)
 
 
 def test_copula_diagonal_monotone_in_rho():
@@ -389,10 +390,13 @@ def test_mills_ratio_bound():
 # --------------------------------------------------------------------------
 
 def test_scaled_tail_a1_collapses():
-    s = scaled_tail(1.0, 1.0 - 1e-6)
-    assert s.exact == pytest.approx(1e-6, rel=1e-9)
-    assert s.asymptotic == pytest.approx(1e-6, rel=1e-12)
-    assert s.asymptotic_as_stated == pytest.approx(1e-6, rel=1e-12)
+    u = 1.0 - 1e-6
+    s = scaled_tail(1.0, u)
+    # the float u is 2.9e-11 relative off 1 - 1e-6: its own tail is 1 - u
+    assert s.exact == pytest.approx(1.0 - u, rel=1e-9, abs=0.0)
+    assert s.asymptotic == pytest.approx(1.0 - u, rel=1e-12, abs=0.0)
+    assert s.asymptotic_as_stated == pytest.approx(1.0 - u, rel=1e-12,
+                                                   abs=0.0)
 
 
 def test_scaled_tail_ratio_monotone_toward_1():

@@ -63,9 +63,9 @@ def test_quantile_integrals_near_singularity():
     # adaptive quadrature loses ~1e-9 here; frozen 50-digit oracle values
     a, b = 0.9, 1.0 - 1e-9
     assert quantile_integral(a, b) == pytest.approx(0.17549832577614457,
-                                                    rel=1e-13)
+                                                    rel=1e-13, abs=0.0)
     assert quantile_sq_integral(a, b) == pytest.approx(0.32491012411399174,
-                                                       rel=1e-13)
+                                                       rel=1e-13, abs=0.0)
 
 
 def test_quantile_integral_bounds_checked():
@@ -108,7 +108,7 @@ def test_negation_symmetry():
     s = SortedSample(x)
     neg = SortedSample(-x[::-1])
     assert w2sq_vs_gaussian(neg) == pytest.approx(w2sq_vs_gaussian(s),
-                                                  rel=1e-12)
+                                                  rel=1e-12, abs=0.0)
 
 
 def test_affine_equivariance():
@@ -251,7 +251,7 @@ def test_two_sample_basics():
     assert w2sq_two_sample(a, a) == 0.0
     x = SortedSample(np.array([-1.0]))
     y = SortedSample(np.array([2.5]))
-    assert w2sq_two_sample(x, y) == pytest.approx(3.5 ** 2, rel=1e-14)
+    assert w2sq_two_sample(x, y) == pytest.approx(3.5 ** 2, rel=1e-14, abs=0.0)
     with pytest.raises(DomainError):
         w2sq_two_sample(a, x)         # unequal sizes
 
@@ -263,7 +263,7 @@ def test_two_sample_explicit_formula():
         x = np.sort(rng.standard_normal(n))
         y = np.sort(rng.standard_normal(n) * 1.3 + 0.2)
         got = w2sq_two_sample(SortedSample(x), SortedSample(y))
-        assert got == pytest.approx(np.mean((x - y) ** 2), rel=1e-12)
+        assert got == pytest.approx(np.mean((x - y) ** 2), rel=1e-12, abs=0.0)
 
 
 def test_two_sample_scale_homogeneity_and_mean_bound():
@@ -272,7 +272,7 @@ def test_two_sample_scale_homogeneity_and_mean_bound():
     y = np.sort(rng.standard_normal(80))
     base = w2sq_two_sample(SortedSample(x), SortedSample(y))
     scaled = w2sq_two_sample(SortedSample(3.0 * x), SortedSample(3.0 * y))
-    assert scaled == pytest.approx(9.0 * base, rel=1e-12)
+    assert scaled == pytest.approx(9.0 * base, rel=1e-12, abs=0.0)
     # Jensen: W2^2 >= (mean difference)^2
     assert base >= (x.mean() - y.mean()) ** 2 - 1e-15
 
@@ -290,7 +290,7 @@ def test_partition_identity_is_exact():
     s = _sample(10 ** 4, 0)
     d = tail_decomposition(s)
     total = d.a_n + d.b_n + d.c_n + d.d_n
-    assert total == pytest.approx(d.half_total, rel=1e-12)
+    assert total == pytest.approx(d.half_total, rel=1e-12, abs=0.0)
     # the half integral itself matches a direct evaluation of the upper half
     n = s.n
     direct = 0.0
