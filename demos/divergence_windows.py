@@ -1,8 +1,8 @@
 """The limit functional's second moment has no delta -> 0 limit.
 
 M(rho, delta) = 2 int_{delta}^{1-delta} (u - C_rho(u,u))/h^2(u) du is
-evaluated by adaptive quadrature over a ladder of truncation windows.
-If the integral converged, the values would stabilize; instead they
+evaluated by certified tanh-sinh quadrature over a ladder of truncation
+windows.  If the integral converged, the values would stabilize; instead they
 grow by almost exactly 2 per unit log log(1/delta), all the way down to
 delta = 1e-250, for every correlation.  The package therefore refuses
 to report a finite limit value, and this script shows the evidence.

@@ -8,7 +8,7 @@ class DomainError(ValueError):
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive quadrature could not certify the requested tolerance."""
+    """The quadrature rule could not certify the requested tolerance."""
 
 
 class DivergenceError(ArithmeticError):

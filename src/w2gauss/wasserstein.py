@@ -46,10 +46,10 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import betaln, ndtr, ndtri
+from scipy.special import betaln, log_ndtr, ndtri
 
 from .errors import DomainError
-from .special import _LOG_2PI, _SQRT_2PI
+from .special import _LOG_2PI, _SQRT_2PI, _de_quad
 
 __all__ = [
     "GaussianReference",
@@ -449,28 +449,22 @@ def tail_decomposition(s: SortedSample, C: float = 1.0, theta: float = 2.0,
 # exact expectation of n * W2^2 (one sample, standard reference)
 # --------------------------------------------------------------------------
 
-def _exact_mean_rank(i: int, n: int) -> float:
-    """``E Z_(i)`` by adaptive quadrature of the order-statistic density."""
-    # imported here so that only quadrature callers pay for scipy.integrate
-    from scipy import integrate
-    lc = -float(betaln(i, n - i + 1))
+def _exact_mean_ranks(n: int, lo: int) -> np.ndarray:
+    """``E Z_(i)`` for ``i = 1..lo``: one certified call, a row per rank."""
+    i = np.arange(1, lo + 1)
+    lc = -betaln(i, n - i + 1) - 0.5 * _LOG_2PI
     p = i / (n + 1.0)
-    z0 = float(ndtri(p))
-    dens = max(math.exp(-0.5 * z0 * z0) / _SQRT_2PI, 1e-300)
-    sd = min(math.sqrt(p * (1.0 - p) / n) / dens, 3.0)
+    z0 = ndtri(p)
+    dens = np.maximum(np.exp(-0.5 * z0 * z0) / _SQRT_2PI, 1e-300)
+    sd = np.minimum(np.sqrt(p * (1.0 - p) / n) / dens, 3.0)
 
-    def f(zv: float) -> float:
-        lp = float(ndtr(zv))
-        ls = float(ndtr(-zv))
-        if lp <= 0.0 or ls <= 0.0:
-            return 0.0
-        ll = (lc + (i - 1) * math.log(lp) + (n - i) * math.log(ls)
-              - 0.5 * zv * zv - 0.5 * _LOG_2PI)
-        return zv * math.exp(ll)
+    def f(zv, rows):
+        k = i[rows, None]
+        return zv * np.exp(lc[rows, None] + (k - 1) * log_ndtr(zv)
+                           + (n - k) * log_ndtr(-zv) - 0.5 * zv * zv)
 
-    lo, hi = z0 - 12.0 * sd - 1.0, z0 + 12.0 * sd + 1.0
-    val, _ = integrate.quad(f, lo, hi, limit=200, epsabs=1e-12, epsrel=1e-11)
-    return val
+    return _de_quad(f, z0 - 12.0 * sd - 1.0, z0 + 12.0 * sd + 1.0,
+                    "expected_one_sample_w2sq", rel=1e-11, abs_=1e-12)[0]
 
 
 def _dj_mean_ranks(i_arr: np.ndarray, n: int) -> np.ndarray:
@@ -492,23 +486,15 @@ def expected_one_sample_w2sq(n: int, n_exact_tail: int = 400) -> float:
     Averaging the kernel ``sum_i (Z_(i) - m_i)^2 + n V_n`` uses
     ``sum_i E Z_(i)^2 = n`` and ``sum_i m_i^2 + n V_n = n``; the cell means
     ``m_i`` come from :func:`_cell_tables`.  The outermost ``n_exact_tail``
-    ranks on each side use adaptive quadrature for ``E Z_(i)``; interior
+    ranks on each side use certified quadrature for ``E Z_(i)``; interior
     ranks use the fourth-order David-Johnson series, whose error is
     negligible away from the edges.  Setting ``n_exact_tail >= n/2`` makes
     the evaluation fully exact.
     """
     if n < 1:
         raise DomainError("n >= 1 required")
-    cell_means = _cell_tables(n)[0]
-    means = np.empty(n)
     lo = min(int(n_exact_tail), n // 2)
-    for i in range(1, lo + 1):
-        m = _exact_mean_rank(i, n)
-        means[i - 1] = m
-        means[n - i] = -m
-    if n % 2 == 1 and lo == n // 2:
-        means[n // 2] = 0.0
-    mids = np.arange(lo + 1, n - lo + 1)
-    if mids.size:
-        means[mids - 1] = _dj_mean_ranks(mids, n)
-    return 2.0 * n - 2.0 * float(means @ cell_means)
+    means = _dj_mean_ranks(np.arange(1, n + 1), n)  # 0 at an odd n's middle
+    means[:lo] = _exact_mean_ranks(n, lo)
+    means[n - lo:] = -means[:lo][::-1]
+    return 2.0 * n - 2.0 * float(means @ _cell_tables(n)[0])

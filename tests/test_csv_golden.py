@@ -29,7 +29,7 @@ CASES = {
         dict(experiment="two_sample", seed=3, ns=(128, 2000), reps=100,
              rho=0.6),
         {"two_sample.csv":
-         "44852d40c45f04ba440a22591a64e67c8e89867f227c33c69b0da73993d3440d"}),
+         "55dcb675ef842886f3e4e5c85bd8444e82479b847f011fbd77a492798e90a5fc"}),
     "expansions": (
         dict(experiment="expansions", seed=1),
         {"expansions.csv":
@@ -37,7 +37,7 @@ CASES = {
     "integrals": (
         dict(experiment="integrals", seed=1, rho=0.6),
         {"integrals.csv":
-         "1f68056607402c90f1538c16eb9388d564053aba1b3cd6666c09d54d5952fed0"}),
+         "135d8e6a419e1e5e0c8d883c6c2fdfbf45375b57ab35b967fa3693eef0220dcd"}),
     "moments": (
         dict(experiment="moments", seed=2, ns=(10 ** 4,), reps=3000),
         {"moments.csv":

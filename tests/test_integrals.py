@@ -2,16 +2,16 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
 
 from w2gauss import (DivergenceError, DomainError, ExperimentConfig,
                      LOG2_PLUS_GAMMA0, QuadratureError, bickel_integral,
                      copula_diagonal_tail, d1n, limit_second_moment,
                      run_experiment, second_moment_windows,
                      truncated_second_moment, variance_weight)
-from w2gauss import integrals
+from w2gauss import integrals, special
 
 LOGLOG = lambda n: math.log(math.log(n))
 
@@ -196,40 +196,112 @@ def test_windows_are_certified_and_match_truncated(rho):
     assert all(a < b for a, b in zip(w["evaluations"], w["evaluations"][1:]))
 
 
+def _window_edges():
+    return [integrals.T_HALF] + [integrals._t_of(d)
+                                 for d in integrals._WINDOW_DELTAS]
+
+
 def test_uncertified_window_raises(monkeypatch):
-    real_quad = scipy.integrate.quad
+    real = integrals._second_moment_integrand_t
+    lo, hi = _window_edges()[2:4]
     calls = []
 
-    def quad(*args, **kwargs):
-        out = real_quad(*args, **kwargs)
-        calls.append(1)
-        if len(calls) == 3:  # the third window misses its target
-            return (out[0], 1e-3 * abs(out[0]) + 1.0) + tuple(out[2:])
-        return out
+    def integrand(t, rho):
+        calls.append(t.shape)
+        # the third window's integrand jumps at its midpoint, so no two
+        # levels of the rule agree there and it misses its target
+        return real(t, rho) * (1.0 + 1e-3 * ((t > 0.5 * (lo + hi)) & (t < hi)))
 
-    monkeypatch.setattr(scipy.integrate, "quad", quad)
-    with pytest.raises(QuadratureError, match="second_moment_windows"):
+    monkeypatch.setattr(integrals, "_second_moment_integrand_t", integrand)
+    with pytest.raises(QuadratureError, match="second_moment_windows") as exc:
         second_moment_windows(0.6)
-    assert len(calls) == 3
+    assert f"on [{lo:.6g}, {hi:.6g}]" in str(exc.value)
+    assert len(calls) == special._DE_LEVELS + 1
 
 
 def test_run_integrals_integrates_each_window_once(monkeypatch):
-    real_quad = scipy.integrate.quad
+    real = integrals._de_quad
     calls = []
 
-    def quad(func, *args, **kwargs):
-        if func is integrals._second_moment_integrand_t:
-            calls.append(args[:2])
-        return real_quad(func, *args, **kwargs)
+    def de_quad(f, a, b, what, **kwargs):
+        calls.append((what, list(zip(np.atleast_1d(a), np.atleast_1d(b)))))
+        return real(f, a, b, what, **kwargs)
 
-    monkeypatch.setattr(scipy.integrate, "quad", quad)
+    monkeypatch.setattr(integrals, "_de_quad", de_quad)
     rows = run_experiment(ExperimentConfig(experiment="integrals", seed=1,
                                            rho=0.6))["integrals"]
-    assert len(calls) == 7
-    assert len(set(calls)) == 7
+    windows = [pieces for what, pieces in calls
+               if what != "bickel_integral" and what != "d1n"]
+    # one call: the seven windows, the one holding the tail-law switch
+    # cut there, each integrated once
+    assert [what for what, _ in calls].count("second_moment_windows") == 1
+    assert len(windows) == 1 and len(windows[0]) == 8
+    pieces = windows[0]
+    assert [a for a, _ in pieces] + [pieces[-1][1]] \
+        == sorted(_window_edges() + [integrals._T_SWITCH])
     trunc = [r for r in rows if r["kind"] == "truncated_second_moment"]
     assert [r["centered_or_ratio"] for r in trunc] \
         == list(integrals._WINDOW_DELTAS)
+
+
+# --------------------------------------------------------------------------
+# 30-digit oracles
+# --------------------------------------------------------------------------
+# On the x = Phi^{-1}(u) scale the bulk weight is Phi Phi(-x)/phi, and the
+# diagonal gap is Phi(-x) Phi(x) - (1/2 pi) int_0^{asin rho}
+# exp(-x^2/(1+sin th)) d th; exchanging the x- and th-integrals leaves an
+# erf per th.  Neither form shares a formula with the package's t-scale
+# integrands.  Besides the certified bound, each value must sit within
+# 1e-15 relative of the reference: the Mills-ratio weight keeps the
+# integrands to a few ulps, where exp(-2L + t + x^2 + log 2 pi) cancelled
+# to 3e-14 relative near 1-u = 1e-300.
+
+def _mp_cut(delta):
+    """x with Phi(-x) = delta, by Newton's method on log Phi(-x)."""
+    lq = mpmath.log(delta)
+    x = mpmath.sqrt(-2 * lq)
+    for _ in range(60):
+        x += (mpmath.log(mpmath.ncdf(-x)) - lq) * mpmath.ncdf(-x) \
+            / mpmath.npdf(x)
+    return x
+
+
+def _mp_half_bulk(x_cut):
+    return mpmath.quad(lambda x: mpmath.ncdf(x) * mpmath.ncdf(-x)
+                       / mpmath.npdf(x), mpmath.linspace(0, x_cut, 8))
+
+
+def _mp_second_moment(rho, delta):
+    x_cut = _mp_cut(delta)
+
+    def by_angle(th):  # int_0^x_cut exp(-a x^2) dx
+        a = (1 - mpmath.sin(th)) / (2 * (1 + mpmath.sin(th)))
+        return mpmath.sqrt(mpmath.pi / a) / 2 \
+            * mpmath.erf(mpmath.sqrt(a) * x_cut)
+
+    return 4 * _mp_half_bulk(x_cut) - 4 / mpmath.sqrt(2 * mpmath.pi) \
+        * mpmath.quad(by_angle, [0, mpmath.asin(rho)])
+
+
+@pytest.mark.parametrize("n", ["1e4", "1e32", "1e300"])
+def test_bickel_within_certified_error_of_mpmath(n):
+    r = bickel_integral(float(n))
+    with mpmath.workdps(30):
+        want = 2 * _mp_half_bulk(_mp_cut(1 / mpmath.mpf(n)))
+    assert abs(r.value - float(want)) <= r.abs_error_estimate
+    assert abs(r.value - float(want)) <= 1e-15 * r.value
+    assert r.abs_error_estimate <= 1e-10 * r.value
+
+
+@pytest.mark.parametrize("rho", ["0.6", "-0.5", "0"])
+@pytest.mark.parametrize("delta", ["1.25e-5", "1e-250"])
+def test_truncated_within_certified_error_of_mpmath(rho, delta):
+    m = truncated_second_moment(float(rho), float(delta))
+    with mpmath.workdps(30):
+        want = _mp_second_moment(mpmath.mpf(rho), mpmath.mpf(delta))
+    assert abs(m.value - float(want)) <= m.abs_error_estimate
+    assert abs(m.value - float(want)) <= 1e-15 * m.value
+    assert m.abs_error_estimate <= 1e-9 * m.value
 
 
 def test_limit_second_moment_diverges_for_all_rho():

@@ -9,12 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 from scipy.special import ndtri
 
-from w2gauss import (DomainError, GaussianReference, STANDARD, SortedSample,
+from w2gauss import (DomainError, GaussianReference, QuadratureError,
+                     STANDARD, SortedSample,
                      expected_one_sample_w2sq, quantile_integral,
                      quantile_sq_integral, standard_normals,
                      std_normal_pdf, std_normal_quantile, substream,
                      tail_decomposition, w2sq_two_sample, w2sq_vs_gaussian)
-from w2gauss import wasserstein
+from w2gauss import special, wasserstein
 
 LOGLOG = lambda n: math.log(math.log(n))
 
@@ -470,6 +471,35 @@ def test_expected_w2sq_regression_values():
                                                           abs=2e-6)
     assert expected_one_sample_w2sq(1000) == pytest.approx(3.33504455,
                                                            abs=2e-6)
+
+
+@pytest.mark.parametrize("n, want", [
+    (10, 2.593676641586523), (101, 3.0216686257342644),
+    (1000, 3.3350445566215967), (10 ** 4, 3.5795381641219137),
+    (10 ** 5, 3.7779734149808064)])
+def test_expected_w2sq_matches_adaptive_quadrature_values(n, want):
+    # values of the adaptive Gauss-Kronrod evaluation the rule replaced;
+    # 1e-9 is what the 2n - 2 sum m_i E Z_(i) cancellation leaves of the
+    # ranks' 1e-11 relative tolerance
+    assert expected_one_sample_w2sq(n) == pytest.approx(want, rel=1e-9,
+                                                        abs=0.0)
+
+
+def test_expected_w2sq_certifies_outer_ranks_at_1e6():
+    # at n = 1e6, n log Phi(-z) from log(ndtr(-z)) carries 1e-10 relative
+    # noise into the rank integrands, which no level of the rule can
+    # certify at 1e-11; log_ndtr keeps them smooth.  The adaptive
+    # evaluation returned 3.94456365192309 here without certifying it
+    assert expected_one_sample_w2sq(10 ** 6) == pytest.approx(
+        3.94456365192309, rel=1e-9, abs=0.0)
+
+
+def test_unconverged_rank_raises(monkeypatch):
+    # the outer ranks at n = 1e3 need six or seven levels of the rule;
+    # with three they miss their target, and the mean must not be returned
+    monkeypatch.setattr(special, "_DE_LEVELS", 3)
+    with pytest.raises(QuadratureError, match="expected_one_sample_w2sq"):
+        expected_one_sample_w2sq(1000)
 
 
 def test_expected_w2sq_monotone_in_n():
