@@ -3,13 +3,18 @@
 The weak limit of ``n W_2^2(F_n, G_n)`` for correlated Gaussian samples is
 the squared weighted L2 norm of the difference of two Brownian bridges
 whose cross-covariance is ``C_rho(u,v) - uv`` (Gaussian copula minus the
-independence term).  This module draws that functional by two independent
-mechanisms so each can check the other, each one transform of a block of
-keyed open uniforms, one row per draw, into the bridges ``bx`` and ``by``:
+independence term).  The Gaussian copula is exchangeable, so on a grid the
+difference ``D = B - Bt`` and the sum ``S = B + Bt`` are independent, with
+covariances ``K_D = 2 (min(u,v) - C_rho(u,v))`` and ``K_S = 2 (min(u,v) +
+C_rho(u,v) - 2uv)``; the functional depends on the pair through ``D``
+alone.  This module draws that functional by two independent mechanisms so
+each can check the other, each one transform of a block of keyed open
+uniforms, one row per draw, into the differences ``bx - by``:
 
-* ``gaussian_grid``: ``(1, rows, 2m)`` uniforms through ``ndtri`` and
-  ``@ L.T``, with ``L`` the Cholesky factor of the 2m x 2m block
-  covariance: exact multivariate-normal draws of the pair on a fixed grid;
+* ``gaussian_grid``: ``(1, rows, m)`` uniforms through ``ndtri`` and
+  ``@ L.T``, with ``L`` the Cholesky factor of the m x m ``K_D``: exact
+  multivariate-normal draws of ``D`` on a fixed grid (the single-pair API
+  adds ``S`` from ``K_S``);
 * ``empirical_coupling``: ``(2, rows, m_sample)`` uniforms through ``ndtri``
   into correlated normal pairs, sorted and counted below the node
   quantiles: empirical bridges on the same grid, converging to the same law.
@@ -212,6 +217,19 @@ def build_grid(m: int, delta: float) -> GridSpec:
 # covariance assembly and factorization
 # --------------------------------------------------------------------------
 
+def _upper_pairs(m: int):
+    """Index arrays ``(i, j)`` of the pairs ``i <= j`` of an ``(m, m)``
+    matrix, in row-major order, ``_COPULA_CHUNK`` pairs at a time."""
+    # pair p is (i, j) in row-major order of the upper triangle; row i's
+    # pairs start at first[i]
+    first = np.concatenate([[0], np.cumsum(np.arange(m, 1, -1))])
+    pairs = m * (m + 1) // 2
+    for start in range(0, pairs, _COPULA_CHUNK):
+        p = np.arange(start, min(start + _COPULA_CHUNK, pairs))
+        i = np.searchsorted(first, p, side="right") - 1
+        yield i, p - first[i] + i
+
+
 def _copula_matrix(nodes: np.ndarray, rho: float,
                    out: np.ndarray | None = None) -> np.ndarray:
     """``C_rho(u_i, u_j)`` on the grid, via the survival identity.
@@ -220,19 +238,11 @@ def _copula_matrix(nodes: np.ndarray, rho: float,
     pairs at a time, into ``out`` (a new ``(m, m)`` array by default).  For
     ``u + v > 1`` the copula is evaluated as ``u + v - 1 + P(X > x_u, Y >
     x_v)``, keeping the computed quantity the small joint tail rather than
-    a difference of near-unit terms.
+    a difference of near-unit terms.  The result is exactly symmetric.
     """
-    m = nodes.size
-    C = np.empty((m, m)) if out is None else out
+    C = np.empty((nodes.size,) * 2) if out is None else out
     x = ndtri(nodes)
-    # pair p is (i, j) in row-major order of the upper triangle; row i's
-    # pairs start at first[i]
-    first = np.concatenate([[0], np.cumsum(np.arange(m, 1, -1))])
-    pairs = m * (m + 1) // 2
-    for start in range(0, pairs, _COPULA_CHUNK):
-        p = np.arange(start, min(start + _COPULA_CHUNK, pairs))
-        i = np.searchsorted(first, p, side="right") - 1
-        j = p - first[i] + i
+    for i, j in _upper_pairs(nodes.size):
         u, v = nodes[i], nodes[j]
         upper = u + v > 1.0
         # below the anti-diagonal C is the upper tail at (-x_u, -x_v)
@@ -250,6 +260,8 @@ def bridge_covariance(grid: GridSpec, rho) -> np.ndarray:
     Diagonal blocks are the Brownian-bridge kernel ``min(u,v) - uv``;
     off-diagonal blocks are ``C_rho(u,v) - uv``.  The blocks are written
     into one ``(2m, 2m)`` array, with one ``(m, m)`` temporary for ``uv``.
+    This is the reference the samplers' ``K_D`` and ``K_S`` are checked
+    against; no sampler factors it.
     """
     corr = as_correlation(rho)
     u = grid.nodes
@@ -266,8 +278,40 @@ def bridge_covariance(grid: GridSpec, rho) -> np.ndarray:
     return cov
 
 
-# the newest factor only: limit-compare reuses a factor across its n loop
-# only while the grid stays the same; a miss frees the old one first
+def _difference_covariance(nodes: np.ndarray, rho: float) -> np.ndarray:
+    """``K_D = 2 (min(u,v) - C_rho(u,v))``, the covariance of ``B - Bt``.
+
+    For ``u_i <= u_j`` the entry is ``2 P(X <= x_i, Y > x_j)``, a joint
+    probability evaluated directly as ``2 P(-X > -x_i, Y > x_j)`` at
+    correlation ``-rho``, so it keeps full relative precision where
+    ``min(u,v)`` and ``C_rho`` nearly cancel (``rho`` near 1, or the
+    tails).  The ``i <= j`` pairs are evaluated ``_COPULA_CHUNK`` at a
+    time, clipped to ``[0, 2 min(u_i, 1 - u_j)]`` and mirrored.
+    """
+    K = np.empty((nodes.size,) * 2)
+    x = ndtri(nodes)
+    for i, j in _upper_pairs(nodes.size):
+        p = _bvnu_vec(-x[i], x[j], -rho)
+        K[i, j] = K[j, i] = 2.0 * np.clip(
+            p, 0.0, np.minimum(nodes[i], 1.0 - nodes[j]))
+    return K
+
+
+def _sum_covariance(nodes: np.ndarray, rho: float) -> np.ndarray:
+    """``K_S = 2 (min(u,v) + C_rho(u,v) - 2uv)``, the covariance of
+    ``B + Bt``: twice the sum of ``bridge_covariance``'s two blocks."""
+    uv = np.multiply.outer(nodes, nodes)
+    K = np.minimum.outer(nodes, nodes)
+    K -= uv
+    C = _copula_matrix(nodes, rho)
+    C -= uv
+    K += C
+    K *= 2.0
+    return K
+
+
+# the newest factor of K_D only: limit-compare reuses a factor across its
+# n loop only while the grid stays the same; a miss frees the old one first
 _factor_cache: dict = {}
 
 
@@ -275,6 +319,15 @@ def _strips(n: int, start: int = 0):
     """``(start, stop)`` of each ``_PANEL``-column strip from ``start`` to
     ``n``."""
     return ((s, min(s + _PANEL, n)) for s in range(start, n, _PANEL))
+
+
+def _row_strips(rows: int) -> list:
+    """``(start, stop)`` of strips of at most ``_PANEL`` rows covering
+    ``rows``, their sizes balanced to within one row: a strip of a few rows
+    could send its matrix product to another BLAS kernel, with other
+    rounding."""
+    k = -(-rows // _PANEL)
+    return [(rows * s // k, rows * (s + 1) // k) for s in range(k)]
 
 
 def _cholesky_inplace(a: np.ndarray) -> bool:
@@ -324,51 +377,63 @@ def _restore_lower(a: np.ndarray) -> None:
                   where=strict[:e - s, :e - s])
 
 
+def _factor_inplace(cov: np.ndarray, name: str, grid: GridSpec,
+                    rho: float) -> np.ndarray:
+    """Overwrite the covariance ``cov`` with its Cholesky factor.
+
+    Each rung of the jitter ladder factors ``cov`` with ``diag + jitter``
+    on its diagonal, in place; a failed rung leaves the upper triangle to
+    restore from.  ``name`` labels the covariance in the messages.
+    """
+    diag = cov.diagonal().copy()
+    for i, jitter in enumerate(_JITTERS):
+        if i:
+            _restore_lower(cov)
+        np.fill_diagonal(cov, diag + jitter)
+        if not _cholesky_inplace(cov):
+            continue
+        if jitter > _JITTER_QUIET:
+            warnings.warn(
+                f"{name} covariance needed diagonal jitter {jitter:g} "
+                f"(m={grid.m}, delta={grid.delta:g}, rho={rho}); results "
+                f"carry noise at that scale", RuntimeWarning, stacklevel=4)
+        return cov
+    raise CovarianceError(
+        f"{name} covariance not positive semidefinite within diagonal "
+        f"jitter {_JITTERS[-1]:g} (m={grid.m}, delta={grid.delta:g}, "
+        f"rho={rho}); this signals a grid/rho configuration bug")
+
+
 def _cholesky_factor(grid: GridSpec, rho: float) -> np.ndarray:
+    """The cached Cholesky factor of ``K_D``, the covariance of ``B - Bt``
+    on the grid; the build holds one ``(m, m)`` array."""
     key = (grid.nodes.tobytes(), rho)
     hit = _factor_cache.get(key)
     if hit is not None:
         return hit
     _factor_cache.clear()
-    L = bridge_covariance(grid, rho)
-    # each rung factors the covariance with diag + jitter on its diagonal,
-    # in place; a failed rung leaves the upper triangle to restore from
-    diag = L.diagonal().copy()
-    for i, jitter in enumerate(_JITTERS):
-        if i:
-            _restore_lower(L)
-        np.fill_diagonal(L, diag + jitter)
-        if not _cholesky_inplace(L):
-            continue
-        if jitter > _JITTER_QUIET:
-            warnings.warn(
-                f"bridge covariance needed diagonal jitter {jitter:g} "
-                f"(m={grid.m}, delta={grid.delta:g}, rho={rho}); results "
-                f"carry noise at that scale", RuntimeWarning, stacklevel=3)
-        _factor_cache[key] = L
-        return L
-    raise CovarianceError(
-        f"bridge covariance not positive semidefinite within diagonal "
-        f"jitter {_JITTERS[-1]:g} (m={grid.m}, delta={grid.delta:g}, "
-        f"rho={rho}); this signals a grid/rho configuration bug")
+    L = _factor_inplace(_difference_covariance(grid.nodes, rho),
+                        "bridge difference", grid, rho)
+    _factor_cache[key] = L
+    return L
 
 
 # --------------------------------------------------------------------------
 # the two mechanisms
 # --------------------------------------------------------------------------
 
-def _mechanism(mechanism: str, grid: GridSpec, rho: float, seed: int,
-               draws: range, m_sample: int):
-    """``(keys, parts, width, bridges)`` of ``draws``: ``bridges`` maps a
-    ``(parts, rows, width)`` block of the keys' uniforms (one row per draw)
-    to those draws' ``(rows, m)`` bridges ``bx, by``."""
-    if mechanism == "gaussian_grid":
-        L = _cholesky_factor(grid, rho)
-        return (_philox_keys(seed, ("limit_gaussian",), draws), 1, 2 * grid.m,
-                lambda u: np.hsplit(_normals_inplace(u[0]) @ L.T, 2))
+def _m_sample(m_sample) -> int:
+    """``m_sample`` as an int, or ``DomainError`` unless it is >= 1e4."""
     m_sample = _integer("m_sample", m_sample)
     if m_sample < 10 ** 4:
         raise DomainError(f"m_sample >= 1e4 required, got {m_sample}")
+    return m_sample
+
+
+def _coupled_bridges(grid: GridSpec, rho: float, m_sample: int):
+    """Map a ``(2, rows, m_sample)`` block of uniforms (one row per draw,
+    overwritten) to those draws' ``(2, rows, m)`` empirical bridges
+    ``bx, by``."""
     xq = ndtri(grid.nodes)
 
     def coupled(u: np.ndarray) -> np.ndarray:
@@ -378,17 +443,44 @@ def _mechanism(mechanism: str, grid: GridSpec, rho: float, seed: int,
         counts = np.array([[np.searchsorted(row, xq, side="right")
                             for row in part] for part in u])
         return (counts / m_sample - grid.nodes) * math.sqrt(m_sample)
-    return _philox_keys(seed, ("limit_empirical",), draws), 2, m_sample, coupled
+    return coupled
 
 
-def _one_pair(grid: GridSpec, rho, seed: int, j: int, mechanism: str,
-              m_sample: int = 10 ** 4) -> BridgePair:
-    """Draw ``j`` of ``sample_limit_law`` as a bridge pair."""
-    corr = as_correlation(rho)
-    keys, parts, width, bridges = _mechanism(mechanism, grid, corr.rho, seed,
-                                             range(j, j + 1), m_sample)
-    bx, by = bridges(_keyed_uniforms(keys, np.empty((parts, 1, width))))
-    return BridgePair(grid=grid, bx=bx[0], by=by[0], rho=corr)
+def _mechanism(mechanism: str, grid: GridSpec, rho: float, seed: int,
+               draws: range, m_sample: int):
+    """``(keys, parts, width, diffs)`` of ``draws``: ``diffs`` maps a
+    ``(parts, rows, width)`` block of the keys' uniforms (one row per draw)
+    to those draws' differences ``bx - by``, as consecutive strips of
+    rows, each a new array."""
+    if mechanism == "gaussian_grid":
+        LT = _cholesky_factor(grid, rho).T
+
+        def gaussian(u: np.ndarray):
+            z = _normals_inplace(u[0])
+            return (z[s:e] @ LT for s, e in _row_strips(z.shape[0]))
+        return (_philox_keys(seed, ("limit_gaussian",), draws), 1, grid.m,
+                gaussian)
+    m_sample = _m_sample(m_sample)
+    coupled = _coupled_bridges(grid, rho, m_sample)
+    return (_philox_keys(seed, ("limit_empirical",), draws), 2, m_sample,
+            lambda u: [np.subtract(*coupled(u))])
+
+
+def _gaussian_pairs(grid: GridSpec, rho: float, seed: int, draws: range):
+    """``(bx, by)`` rows of the Gaussian ``draws``, exact on the grid.
+
+    Each draw's stream gives ``2m`` uniforms: the first ``m`` make ``D``
+    exactly as ``sample_limit_law`` does, the next ``m`` make ``S`` from
+    the factor of ``K_S``; then ``bx = (S + D)/2`` and ``by = (S - D)/2``.
+    """
+    m = grid.m
+    z = _normals_inplace(_keyed_uniforms(
+        _philox_keys(seed, ("limit_gaussian",), draws),
+        np.empty((1, len(draws), 2 * m)))[0])
+    d = z[:, :m] @ _cholesky_factor(grid, rho).T
+    s = z[:, m:] @ _factor_inplace(_sum_covariance(grid.nodes, rho),
+                                   "bridge sum", grid, rho).T
+    return (s + d) / 2.0, (s - d) / 2.0
 
 
 def simulate_bridge_pair_gaussian(grid: GridSpec, rho, seed: int,
@@ -396,10 +488,14 @@ def simulate_bridge_pair_gaussian(grid: GridSpec, rho, seed: int,
     """One exact draw of the correlated bridge pair on the grid.
 
     Deterministic given ``(seed, draw_index)``; ``sample_limit_law``
-    consumes consecutive draw indices, so a single draw here matches the
-    corresponding batch row to within matmul rounding.
+    consumes consecutive draw indices, and its row ``draw_index`` is drawn
+    from the first ``m`` uniforms of the same stream, so ``bx - by`` here
+    matches that row's difference to within matmul rounding.
     """
-    return _one_pair(grid, rho, seed, draw_index, "gaussian_grid")
+    corr = as_correlation(rho)
+    bx, by = _gaussian_pairs(grid, corr.rho, seed,
+                             range(draw_index, draw_index + 1))
+    return BridgePair(grid=grid, bx=bx[0], by=by[0], rho=corr)
 
 
 def simulate_bridge_pair_coupled(grid: GridSpec, rho, m_sample: int,
@@ -410,19 +506,34 @@ def simulate_bridge_pair_coupled(grid: GridSpec, rho, m_sample: int,
     ``sqrt(m) (F_m(x_u) - u)`` for each marginal at the grid nodes, which
     is the empirical bridge of the uniforms ``Phi(X_i)`` evaluated at u.
     """
-    return _one_pair(grid, rho, seed, draw_index, "empirical_coupling", m_sample)
+    corr = as_correlation(rho)
+    m_sample = _m_sample(m_sample)
+    keys = _philox_keys(seed, ("limit_empirical",),
+                        range(draw_index, draw_index + 1))
+    bx, by = _coupled_bridges(grid, corr.rho, m_sample)(
+        _keyed_uniforms(keys, np.empty((2, 1, m_sample))))
+    return BridgePair(grid=grid, bx=bx[0], by=by[0], rho=corr)
 
 
 # --------------------------------------------------------------------------
 # the functional and its analytic companions
 # --------------------------------------------------------------------------
 
-def _functional_rows(bx: np.ndarray, by: np.ndarray, nodes: np.ndarray,
+def _functional_rows(d: np.ndarray, nodes: np.ndarray,
                      h: np.ndarray) -> np.ndarray:
-    """Trapezoidal ``int ((bx - by)/h)^2`` of each row; ``h`` is
-    ``density_quantile_h(nodes)``."""
-    y = ((bx - by) / h) ** 2
-    return np.trapezoid(y, x=nodes, axis=-1)
+    """Trapezoidal ``int (d/h)^2`` of each row of the difference ``d``,
+    which it overwrites; ``h`` is ``density_quantile_h(nodes)``.
+
+    The steps are ``np.trapezoid``'s, in its order, done in place, so the
+    bytes are those of ``np.trapezoid((d / h) ** 2, x=nodes, axis=-1)``.
+    """
+    d /= h
+    d *= d
+    y = d[..., :-1]
+    y += d[..., 1:]
+    y *= np.diff(nodes)
+    y /= 2.0
+    return y.sum(axis=-1)
 
 
 def g_functional(pair: BridgePair) -> float:
@@ -434,7 +545,7 @@ def g_functional(pair: BridgePair) -> float:
     expectation as ``delta -> 0`` is unbounded.
     """
     nodes = pair.grid.nodes
-    return float(_functional_rows(pair.bx, pair.by, nodes,
+    return float(_functional_rows(pair.bx - pair.by, nodes,
                                   np.asarray(density_quantile_h(nodes))))
 
 
@@ -529,11 +640,12 @@ def sample_limit_law(rho, grid: GridSpec, n_draws: int, mechanism: str,
             "(truncated means grow without bound as delta -> 0); pass "
             "divergence_demo=True to sample the truncated functional "
             "deliberately")
-    keys, parts, width, bridges = _mechanism(mechanism, grid, corr.rho, seed,
-                                             range(n_draws), m_sample)
+    keys, parts, width, diffs = _mechanism(mechanism, grid, corr.rho, seed,
+                                           range(n_draws), m_sample)
     h = np.asarray(density_quantile_h(grid.nodes))
-    values = _replicate(keys, parts, width,
-                        lambda u: _functional_rows(*bridges(u), grid.nodes, h),
-                        workers)
+    values = _replicate(
+        keys, parts, width,
+        lambda u: np.concatenate([_functional_rows(d, grid.nodes, h)
+                                  for d in diffs(u)]), workers)
     return LimitSample(values=values, rho=corr, mechanism=mechanism,
                        grid=grid, seed=seed)

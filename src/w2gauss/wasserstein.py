@@ -449,22 +449,48 @@ def tail_decomposition(s: SortedSample, C: float = 1.0, theta: float = 2.0,
 # exact expectation of n * W2^2 (one sample, standard reference)
 # --------------------------------------------------------------------------
 
+# a rank's window is cut where its log density has fallen this far below
+# its value at the rank's quantile: e^-60 lies far below every target
+_RANK_TAIL_LOG = 60.0
+
+
 def _exact_mean_ranks(n: int, lo: int) -> np.ndarray:
-    """``E Z_(i)`` for ``i = 1..lo``: one certified call, a row per rank."""
+    """``E Z_(i)`` for ``i = 1..lo``: one certified call, a row per rank.
+
+    Rank ``i``'s window is ``z0 +- (12 sd + 1)`` about its quantile ``z0 =
+    Phi^-1(i/(n+1))``, with ``sd`` its delta-method spread, cut on each
+    side where its log density, which is concave, falls ``_RANK_TAIL_LOG``
+    below its value at ``z0`` (found by bisection).  The cut scales the
+    window to the rank's own spread: without it the ``+ 1`` makes the inner
+    ranks' windows dozens of spreads wide.
+    """
     i = np.arange(1, lo + 1)
     lc = -betaln(i, n - i + 1) - 0.5 * _LOG_2PI
     p = i / (n + 1.0)
     z0 = ndtri(p)
     dens = np.maximum(np.exp(-0.5 * z0 * z0) / _SQRT_2PI, 1e-300)
-    sd = np.minimum(np.sqrt(p * (1.0 - p) / n) / dens, 3.0)
+    half = 12.0 * np.minimum(np.sqrt(p * (1.0 - p) / n) / dens, 3.0) + 1.0
+
+    def log_density(zv, k, c):
+        return c + (k - 1) * log_ndtr(zv) + (n - k) * log_ndtr(-zv) \
+            - 0.5 * zv * zv
+
+    floor = log_density(z0, i, lc) - _RANK_TAIL_LOG
+    edges = []
+    for side in (-1.0, 1.0):
+        inside, outside = np.zeros(lo), half
+        for _ in range(30):
+            mid = (inside + outside) / 2
+            out = log_density(z0 + side * mid, i, lc) < floor
+            inside = np.where(out, inside, mid)
+            outside = np.where(out, mid, outside)
+        edges.append(z0 + side * outside)
 
     def f(zv, rows):
-        k = i[rows, None]
-        return zv * np.exp(lc[rows, None] + (k - 1) * log_ndtr(zv)
-                           + (n - k) * log_ndtr(-zv) - 0.5 * zv * zv)
+        return zv * np.exp(log_density(zv, i[rows, None], lc[rows, None]))
 
-    return _de_quad(f, z0 - 12.0 * sd - 1.0, z0 + 12.0 * sd + 1.0,
-                    "expected_one_sample_w2sq", rel=1e-11, abs_=1e-12)[0]
+    return _de_quad(f, *edges, "expected_one_sample_w2sq", rel=1e-11,
+                    abs_=1e-12)[0]
 
 
 def _dj_mean_ranks(i_arr: np.ndarray, n: int) -> np.ndarray:

@@ -415,7 +415,10 @@ def test_replicate_w2sq_validation():
      "one_sample.csv"),
     (["limit-compare", "--rho", "0.6", "--m", "64", "--n", "2000",
       "--reps", "60", "--delta", "1e-3", "--seed", "34"], "limit.csv"),
-], ids=["one_sample", "limit_compare"])
+    # a K_D factor of two panels, and the 200 draws in two row strips
+    (["limit-compare", "--rho", "0.6", "--m", "160", "--n", "2000",
+      "--reps", "200", "--delta", "1e-3", "--seed", "34"], "limit.csv"),
+], ids=["one_sample", "limit_compare", "limit_compare_two_panels"])
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, args, csv_name):
     src = os.path.dirname(os.path.dirname(experiments.__file__))
     bodies = []

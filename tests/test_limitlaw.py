@@ -27,11 +27,32 @@ from w2gauss.streams import (_keyed_uniforms, correlated_normal_pairs,
 
 
 def _gaussian_rows(grid, rho, seed, draws):
-    """Bridge rows ``[bx | by]`` of ``sample_limit_law``'s Gaussian draws."""
-    keys, parts, width, bridges = limitlaw._mechanism(
+    """Difference rows ``bx - by`` of ``sample_limit_law``'s Gaussian
+    draws."""
+    keys, parts, width, diffs = limitlaw._mechanism(
         "gaussian_grid", grid, rho, seed, draws, None)
     u = _keyed_uniforms(keys, np.empty((parts, len(draws), width)))
-    return np.hstack(bridges(u))
+    return np.vstack(list(diffs(u)))
+
+
+def _pair_covariances(grid, rho):
+    """``K_D`` and ``K_S``, ``Sigma11 + Sigma22 -+ (Sigma12 + Sigma21)``, from
+    the 2m x 2m reference ``bridge_covariance``."""
+    m = grid.m
+    sigma = bridge_covariance(grid, rho)
+    both = sigma[:m, :m] + sigma[m:, m:]
+    cross = sigma[:m, m:] + sigma[m:, :m]
+    return both - cross, both + cross
+
+
+def _assert_cov_entries(rows, sigma, n):
+    """A spread of entries of ``rows``' sample covariance against ``sigma``
+    at 5 sigma of the covariance estimator."""
+    emp = np.cov(rows.T)
+    rng = np.random.default_rng(0)
+    for i, j in rng.integers(0, sigma.shape[0], size=(12, 2)):
+        se = math.sqrt((sigma[i, i] * sigma[j, j] + sigma[i, j] ** 2) / n)
+        assert abs(emp[i, j] - sigma[i, j]) < 5.0 * se
 
 
 # --------------------------------------------------------------------------
@@ -86,28 +107,27 @@ def test_grid_rejections():
 def test_gaussian_mechanism_covariance(rho):
     grid = build_grid(24, 1e-3)
     n = 20000
+    # the batch draws' differences against K_D, the pair API's [bx | by]
+    # against the whole 2m x 2m covariance
     rows = _gaussian_rows(grid, rho, seed=314, draws=range(n))
-    sigma = bridge_covariance(grid, rho)
-    emp = np.cov(rows.T)
-    # spot-check a spread of entries at 5 sigma of the cov estimator
-    rng = np.random.default_rng(0)
-    idx = rng.integers(0, 2 * grid.m, size=(12, 2))
-    for i, j in idx:
-        se = math.sqrt((sigma[i, i] * sigma[j, j] + sigma[i, j] ** 2) / n)
-        assert abs(emp[i, j] - sigma[i, j]) < 5.0 * se
+    _assert_cov_entries(rows, _pair_covariances(grid, rho)[0], n)
+    pairs = np.hstack(limitlaw._gaussian_pairs(grid, rho, 314, range(n)))
+    _assert_cov_entries(pairs, bridge_covariance(grid, rho), n)
 
 
 def test_gaussian_mechanism_marginal_variance():
     grid = build_grid(32, 1e-3)
     n = 20000
-    rows = _gaussian_rows(grid, 0.3, seed=99, draws=range(n))
-    bx = rows[:, :grid.m]
+    d = _gaussian_rows(grid, 0.3, seed=99, draws=range(n))
+    bx, by = limitlaw._gaussian_pairs(grid, 0.3, 99, range(n))
     for i in (0, 8, 16, 24, 31):
         u = grid.nodes[i]
-        want = u * (1.0 - u)
-        got = bx[:, i].var(ddof=1)
-        se = want * math.sqrt(2.0 / n)
-        assert abs(got - want) < 5.0 * se
+        for got, want in ((bx[:, i].var(ddof=1), u * (1.0 - u)),
+                          (by[:, i].var(ddof=1), u * (1.0 - u)),
+                          (d[:, i].var(ddof=1),
+                           2.0 * copula_diagonal_gap(u, 0.3))):
+            se = want * math.sqrt(2.0 / n)
+            assert abs(got - want) < 5.0 * se
 
 
 @pytest.mark.parametrize("rho", [0.45, 0.95, -0.95])
@@ -154,6 +174,23 @@ def _bridge_covariance_reference(grid, rho):
     return np.block([[bridge, cross], [cross.T, bridge]])
 
 
+def _difference_covariance_reference(grid, rho):
+    """Reference: ``K_D`` on all m^2 cells at once, each cell as
+    ``2 P(X <= x_lo, Y > x_hi)`` of its lower and upper node."""
+    u = grid.nodes
+    U, V = np.meshgrid(u, u, indexing="ij")
+    lo, hi = np.minimum(U, V), np.maximum(U, V)
+    p = _bvnu_vec(-ndtri(lo), ndtri(hi), -rho)
+    return 2.0 * np.clip(p, 0.0, np.minimum(lo, 1.0 - hi))
+
+
+def _sum_covariance_reference(grid, rho):
+    """Reference: ``K_S`` as twice the sum of the reference blocks."""
+    m = grid.m
+    cov = _bridge_covariance_reference(grid, rho)
+    return 2.0 * (cov[:m, :m] + cov[:m, m:])
+
+
 def _cholesky_reference(cov):
     """Reference: LAPACK on fresh ``cov + jitter * eye`` copies, as
     ``(jitter, L)`` of the first rung that factors."""
@@ -171,14 +208,58 @@ def _cholesky_reference(cov):
 def test_covariance_and_factor_match_reference_construction(monkeypatch, m,
                                                             rho):
     grid = build_grid(m, 1.25e-5)
-    cov = _bridge_covariance_reference(grid, rho)
-    assert bridge_covariance(grid, rho).tobytes() == cov.tobytes()
+    assert bridge_covariance(grid, rho).tobytes() \
+        == _bridge_covariance_reference(grid, rho).tobytes()
+    kd = _difference_covariance_reference(grid, rho)
+    ks = _sum_covariance_reference(grid, rho)
+    assert limitlaw._difference_covariance(grid.nodes, rho).tobytes() \
+        == kd.tobytes()
+    assert limitlaw._sum_covariance(grid.nodes, rho).tobytes() == ks.tobytes()
     monkeypatch.setattr(limitlaw, "_factor_cache", {})
-    L = limitlaw._cholesky_factor(grid, rho)
-    jitter, ref = _cholesky_reference(cov)
-    assert not np.triu(L, 1).any()
-    assert np.abs(L @ L.T - (cov + jitter * np.eye(2 * m))).max() <= 1e-15
-    assert np.abs(L - ref).max() <= 1e-13
+    # K_D keeps the absolute 1e-15 that bridge_covariance (entries up to
+    # 1/4) had; K_S, with entries up to 0.9, keeps it per 1/4 of its largest
+    factors = [(limitlaw._cholesky_factor(grid, rho), kd, 1e-15),
+               (limitlaw._factor_inplace(ks.copy(), "sum", grid, rho), ks,
+                4e-15 * ks.max())]
+    for L, cov, tol in factors:
+        jitter, ref = _cholesky_reference(cov)
+        assert not np.triu(L, 1).any()
+        assert np.abs(L @ L.T - (cov + jitter * np.eye(m))).max() <= tol
+        assert np.abs(L - ref).max() <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(16, 96), rho=st.floats(-0.99, 0.99),
+       delta=st.floats(1e-8, 1e-2))
+@example(m=96, rho=0.99, delta=1e-8)
+@example(m=96, rho=-0.99, delta=1e-8)
+def test_difference_and_sum_covariances_property(m, rho, delta):
+    grid = build_grid(m, delta)
+    # exchangeability, the premise that S and D are independent
+    C = _copula_matrix(grid.nodes, rho)
+    assert np.array_equal(C, C.T)
+    kd, ks = _pair_covariances(grid, rho)
+    for got, want in ((limitlaw._difference_covariance(grid.nodes, rho), kd),
+                      (limitlaw._sum_covariance(grid.nodes, rho), ks)):
+        assert np.array_equal(got, got.T)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("rho", [0.9, 0.6, 0.0, -0.5])
+def test_weighted_difference_eigenvalues(rho):
+    # Mehler's expansion: the operator behind int ((B - Bt)/h)^2 has
+    # eigenvalues 2 (1 - rho^j) / j; on the grid, K_D weighted by the
+    # trapezoid weights over h^2
+    grid = build_grid(1024, 1e-12)
+    u = grid.nodes
+    dx = np.diff(u)
+    w = np.concatenate([dx[:1], dx[:-1] + dx[1:], dx[-1:]]) / 2.0
+    s = np.sqrt(w) / np.asarray(density_quantile_h(u))
+    kd = limitlaw._difference_covariance(u, rho)
+    top = np.linalg.eigvalsh(s[:, None] * kd * s[None, :])[::-1][:4]
+    j = np.arange(1, 5)
+    want = np.sort(2.0 * (1.0 - rho ** j) / j)[::-1]
+    assert np.abs(top - want).max() <= 3e-4
 
 
 def _factored(a):
@@ -192,19 +273,21 @@ def _factored(a):
        delta=st.floats(1e-6, 1e-2), panel=st.sampled_from([7, 32, 128]))
 @example(m=96, rho=0.95, delta=1e-6, panel=128)
 def test_blocked_cholesky_property(m, rho, delta, panel):
-    cov = bridge_covariance(build_grid(m, delta), rho)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(limitlaw, "_PANEL", panel)
-        L = _factored(cov.copy())
-        assert not np.triu(L, 1).any() and np.all(np.diag(L) > 0.0)
-        assert np.abs(L - np.linalg.cholesky(cov)).max() <= 1e-13
-        # flip the least eigenvalue: the factor must refuse, not raise, and
-        # leave the strict upper triangle for the ladder to restore from
-        lam, vec = np.linalg.eigh(cov)
-        bad = cov - 2.0 * lam[0] * np.outer(vec[:, 0], vec[:, 0])
-        a = bad.copy()
-        assert limitlaw._cholesky_inplace(a) is False
-        assert np.triu(a, 1).tobytes() == np.triu(bad, 1).tobytes()
+    grid = build_grid(m, delta)
+    for cov in (limitlaw._difference_covariance(grid.nodes, rho),
+                limitlaw._sum_covariance(grid.nodes, rho)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limitlaw, "_PANEL", panel)
+            L = _factored(cov.copy())
+            assert not np.triu(L, 1).any() and np.all(np.diag(L) > 0.0)
+            assert np.abs(L - np.linalg.cholesky(cov)).max() <= 1e-13
+            # flip the least eigenvalue: the factor must refuse, not raise,
+            # and leave the strict upper triangle for the ladder to restore
+            lam, vec = np.linalg.eigh(cov)
+            bad = cov - 2.0 * lam[0] * np.outer(vec[:, 0], vec[:, 0])
+            a = bad.copy()
+            assert limitlaw._cholesky_inplace(a) is False
+            assert np.triu(a, 1).tobytes() == np.triu(bad, 1).tobytes()
 
 
 @pytest.mark.parametrize("chunk", [7, 64 * 65 // 2 + 1])
@@ -217,12 +300,16 @@ def test_copula_matrix_bytes_do_not_depend_on_chunk(monkeypatch, chunk):
     _copula_matrix(nodes, 0.95, out=out[:64, 64:])
     assert out[:64, 64:].tobytes() == want.tobytes()
     assert np.isnan(out[:, :64]).all() and np.isnan(out[64:]).all()
+    kd = limitlaw._difference_covariance(nodes, 0.95)
+    monkeypatch.setattr(limitlaw, "_COPULA_CHUNK", 4096)
+    assert limitlaw._difference_covariance(nodes, 0.95).tobytes() \
+        == kd.tobytes()
 
 
 def test_cholesky_factor_peak_memory(monkeypatch):
-    # the covariance, factored in place into L (2 MiB at m = 256), plus
-    # the (m, m) uv temporary and the copula chunks: a second 2m x 2m
-    # array would cross 2 L
+    # K_D, factored in place into L (512 KiB at m = 256), plus the
+    # temporaries of one copula chunk (about 0.6 MiB at rho = 0.95): a
+    # second m x m array would cross L + 1 MiB
     grid = build_grid(256, 1.25e-5)
     monkeypatch.setattr(limitlaw, "_factor_cache", {})
     tracemalloc.start()
@@ -231,13 +318,14 @@ def test_cholesky_factor_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0 * L.nbytes
+    assert L.shape == (256, 256)
+    assert peak <= L.nbytes + 2 ** 20
 
 
 @pytest.mark.parametrize("failures", range(len(limitlaw._JITTERS) + 1))
 def test_cholesky_jitter_ladder(monkeypatch, failures):
-    grid = build_grid(32, 1e-3)
-    cov = _bridge_covariance_reference(grid, 0.6)
+    grid = build_grid(64, 1e-3)
+    cov = _difference_covariance_reference(grid, 0.6)
     n = cov.shape[0]
     real = limitlaw._cholesky_inplace
     seen = []
@@ -288,7 +376,7 @@ def test_factor_cache_keeps_only_the_newest(monkeypatch):
     for delta in (1e-4, 1e-5, 1e-6):
         grid = build_grid(512, delta)
         L = limitlaw._cholesky_factor(grid, 0.6)
-        # a new grid replaces the held factor: one 8 MiB L at m = 512
+        # a new grid replaces the held factor: one 2 MiB L at m = 512
         assert list(cache) == [(grid.nodes.tobytes(), 0.6)]
         assert cache[(grid.nodes.tobytes(), 0.6)] is L
         assert limitlaw._cholesky_factor(grid, 0.6) is L
@@ -305,6 +393,8 @@ def test_single_draw_matches_batch_row():
     sample = sample_limit_law(0.6, grid, 5, "gaussian_grid", seed=21)
     pair = simulate_bridge_pair_gaussian(grid, 0.6, seed=21, draw_index=3)
     assert g_functional(pair) == pytest.approx(sample.values[3], rel=1e-9)
+    d = _gaussian_rows(grid, 0.6, 21, range(5))[3]
+    assert np.abs((pair.bx - pair.by) - d).max() <= 1e-13
 
 
 # --------------------------------------------------------------------------
@@ -460,9 +550,9 @@ def test_rho_zero_truncated_means_increase():
     assert means[0] < means[1] < means[2]
 
 
-def _functional_ref(bx, by, grid):
+def _functional_ref(d, grid):
     h = np.asarray(density_quantile_h(grid.nodes))
-    return np.trapezoid(((bx - by) / h) ** 2, x=grid.nodes, axis=-1)
+    return np.trapezoid((d / h) ** 2, x=grid.nodes, axis=-1)
 
 
 def _coupled_ref(grid, rho, seed, j, m_sample):
@@ -477,26 +567,25 @@ def _coupled_ref(grid, rho, seed, j, m_sample):
 def _per_draw_loop(rho, grid, n_draws, mechanism, seed, m_sample):
     """The per-draw substream loops that ``sample_limit_law`` replaced.
 
-    Gaussian draws stack each draw's ``2m`` normals and take one product
-    with the Cholesky factor; empirical draws are :func:`_coupled_ref`.
+    Gaussian draws stack each draw's ``m`` normals and take one product
+    with the Cholesky factor of ``K_D``; empirical draws are
+    :func:`_coupled_ref`.
     """
     if mechanism == "gaussian_grid":
         L = limitlaw._cholesky_factor(grid, rho)
         eta = np.array([standard_normals(substream(seed, "limit_gaussian", j),
-                                         2 * grid.m) for j in range(n_draws)])
-        rows = eta @ L.T
-        return _functional_ref(rows[:, :grid.m], rows[:, grid.m:], grid)
-    return np.array([_functional_ref(*_coupled_ref(grid, rho, seed, j,
-                                                   m_sample), grid)
-                     for j in range(n_draws)])
+                                         grid.m) for j in range(n_draws)])
+        return _functional_ref(eta @ L.T, grid)
+    return np.array([_functional_ref(np.subtract(*_coupled_ref(
+        grid, rho, seed, j, m_sample)), grid) for j in range(n_draws)])
 
 
 @pytest.mark.parametrize("mechanism, rows, parts, width", [
-    # 16 rows of 2m = 512 normals; 3 rows of 2 x 10^4 coupled normals
+    # 16 rows of m = 512 normals; 3 rows of 2 x 10^4 coupled normals
     ("gaussian_grid", 16, 1, 512), ("empirical_coupling", 3, 2, 10 ** 4)])
 def test_sample_limit_law_matches_per_draw_loop(monkeypatch, mechanism, rows,
                                                 parts, width):
-    grid = build_grid(256, 1e-4)
+    grid = build_grid(512 if mechanism == "gaussian_grid" else 256, 1e-4)
     monkeypatch.setattr(streams, "_BLOCK_VALUES", rows * parts * width)
     assert streams._block_rows(width, parts) == rows
     for n_draws in (rows - 1, rows, rows + 1):
@@ -514,6 +603,29 @@ def test_single_coupled_draw_matches_per_draw_loop():
     bx, by = _coupled_ref(grid, 0.6, 8, 4, 10 ** 4)
     assert pair.bx.tobytes() == bx.tobytes()
     assert pair.by.tobytes() == by.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 17, 128, 129, 300])
+def test_row_strips_are_balanced(rows):
+    strips = limitlaw._row_strips(rows)
+    assert strips[0][0] == 0 and strips[-1][1] == rows
+    assert all(a[1] == b[0] for a, b in zip(strips, strips[1:]))
+    sizes = [e - s for s, e in strips]
+    assert max(sizes) <= limitlaw._PANEL and max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("n_draws", [41, 100])
+def test_gaussian_row_strips_keep_bytes(monkeypatch, n_draws):
+    # strips of 10 to 12 rows against one product over every row; strips
+    # of a few rows may take another BLAS kernel (below 5 rows at m = 256
+    # with OpenBLAS 0.3.31 on x86-64)
+    grid = build_grid(256, 1e-3)
+    monkeypatch.setattr(limitlaw, "_factor_cache", {})
+    monkeypatch.setattr(limitlaw, "_PANEL", 12)
+    assert len(limitlaw._row_strips(n_draws)) >= 4
+    want = _per_draw_loop(0.6, grid, n_draws, "gaussian_grid", 12, None)
+    got = sample_limit_law(0.6, grid, n_draws, "gaussian_grid", 12).values
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sample_limit_law_counts_are_integers():

@@ -495,7 +495,7 @@ def test_expected_w2sq_certifies_outer_ranks_at_1e6():
 
 
 def test_unconverged_rank_raises(monkeypatch):
-    # the outer ranks at n = 1e3 need six or seven levels of the rule;
+    # the outer ranks at n = 1e3 need five levels of the rule;
     # with three they miss their target, and the mean must not be returned
     monkeypatch.setattr(special, "_DE_LEVELS", 3)
     with pytest.raises(QuadratureError, match="expected_one_sample_w2sq"):
