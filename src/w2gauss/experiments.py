@@ -32,7 +32,7 @@ from .limitlaw import (MECHANISMS, _draw_summary, build_grid, ks_two_sample,
 from .special import (as_correlation, h_tail_expansion, psi, psi_expansion,
                       quantile_tail_expansion, scaled_tail, std_normal_quantile)
 from .streams import (_correlate_inplace, _integer, _normals_inplace,
-                      _pair_rho, _philox_keys, _replicate)
+                      _philox_keys, _replicate)
 from .wasserstein import _cell_tables, _check_sorted_rows, _w2sq_rows
 
 __all__ = [
@@ -158,7 +158,7 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
                           f"reps={reps}, workers={workers}")
     pairs = rho is not None
     if pairs:
-        rho = _pair_rho(rho)
+        rho = as_correlation(rho).rho
     else:
         m, _, within = _cell_tables(n)
 

@@ -143,15 +143,15 @@ def _bulk_integrand_t(t, rows):
     return (1.0 - q) * _weight_t(t, -ndtri(q))
 
 
-def _bulk_quad(t_hi: float, what: str, halves: int = 1):
+def _bulk_quad(t_hi: float, what: str):
     """The weight ``u(1-u)/h^2`` integrated over ``[T_HALF, t_hi]``.
 
-    The one quadrature behind ``bickel_integral`` and ``d1n``: the summed
-    value, error estimate and evaluation count of ``halves`` such rows.
+    The one quadrature behind ``bickel_integral`` and ``d1n``: its value,
+    error estimate and evaluation count.
     """
-    value, err, neval = _de_quad(_bulk_integrand_t, [T_HALF] * halves,
-                                 [t_hi] * halves, what, rel=1e-10, abs_=1e-13)
-    return float(value.sum()), float(err.sum()), int(neval.sum())
+    value, err, neval = _de_quad(_bulk_integrand_t, [T_HALF], [t_hi], what,
+                                 rel=1e-10, abs_=1e-13)
+    return float(value[0]), float(err[0]), int(neval[0])
 
 
 def _t_of(delta: float) -> float:
@@ -165,23 +165,18 @@ def _check_n(n) -> float:
     return nf
 
 
-def bickel_integral(n, *, use_symmetry: bool = True) -> SingularIntegralResult:
+def bickel_integral(n) -> SingularIntegralResult:
     """``int_{1/n}^{1-1/n} u(1-u)/h^2 du`` with certified error.
 
     ``n`` may be any real >= 8 (it enters only through the cut ``1/n``,
-    so astronomically large values are legal).  By default the value is
-    twice the upper half, which is exact by the u <-> 1-u symmetry;
-    ``use_symmetry=False`` integrates and certifies both halves, each by
-    its own substitution.  The two substitutions give the same t-integrand,
-    so the halves agree to the last bit and the flag only doubles the work.
-    ``centered_or_ratio`` holds the centered value, i.e. value minus
-    ``log log n``.
+    so astronomically large values are legal).  The value is twice the
+    upper half, which is exact by the u <-> 1-u symmetry ``h(u) =
+    h(1-u)``.  ``centered_or_ratio`` holds the centered value, i.e. value
+    minus ``log log n``.
     """
     nf = _check_n(n)
-    value, err, neval = _bulk_quad(_t_of(1.0 / nf), "bickel_integral",
-                                   halves=1 if use_symmetry else 2)
-    if use_symmetry:
-        value, err = 2.0 * value, 2.0 * err
+    value, err, neval = _bulk_quad(_t_of(1.0 / nf), "bickel_integral")
+    value, err = 2.0 * value, 2.0 * err
     loglog_n = math.log(math.log(nf))
     return SingularIntegralResult(
         value=value, abs_error_estimate=err, evaluations=neval,

@@ -7,9 +7,12 @@ independence term).  The Gaussian copula is exchangeable, so on a grid the
 difference ``D = B - Bt`` and the sum ``S = B + Bt`` are independent, with
 covariances ``K_D = 2 (min(u,v) - C_rho(u,v))`` and ``K_S = 2 (min(u,v) +
 C_rho(u,v) - 2uv)``; the functional depends on the pair through ``D``
-alone.  This module draws that functional by two independent mechanisms so
-each can check the other, each one transform of a block of keyed open
-uniforms, one row per draw, into the differences ``bx - by``:
+alone.  ``K_D`` is the one matrix evaluated pair by pair, each entry one
+bivariate-normal tail; the cross covariance is ``Kb - K_D/2`` and ``K_S``
+is ``4 Kb - K_D``, with ``Kb = min(u,v) - uv`` the bridge kernel.  This
+module draws that functional by two independent mechanisms so each can
+check the other, each one transform of a block of keyed open uniforms,
+one row per draw, into the differences ``bx - by``:
 
 * ``gaussian_grid``: ``(1, rows, m)`` uniforms through ``ndtri`` and
   ``@ L.T``, with ``L`` the Cholesky factor of the m x m ``K_D``: exact
@@ -68,7 +71,7 @@ MECHANISMS = ("gaussian_grid", "empirical_coupling")
 # explicit failure beyond (signals a genuinely bad grid/rho configuration)
 _JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9)
 _JITTER_QUIET = 1e-12
-# copula pairs per _bvnu_vec call: bounds the quadrature's temporaries
+# K_D pairs per _bvnu_vec call: bounds the quadrature's temporaries
 _COPULA_CHUNK = 4096
 # columns per panel and per trailing-update strip of the blocked Cholesky
 _PANEL = 128
@@ -230,52 +233,11 @@ def _upper_pairs(m: int):
         yield i, p - first[i] + i
 
 
-def _copula_matrix(nodes: np.ndarray, rho: float,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """``C_rho(u_i, u_j)`` on the grid, via the survival identity.
-
-    Each pair ``i <= j`` is evaluated once and mirrored, ``_COPULA_CHUNK``
-    pairs at a time, into ``out`` (a new ``(m, m)`` array by default).  For
-    ``u + v > 1`` the copula is evaluated as ``u + v - 1 + P(X > x_u, Y >
-    x_v)``, keeping the computed quantity the small joint tail rather than
-    a difference of near-unit terms.  The result is exactly symmetric.
-    """
-    C = np.empty((nodes.size,) * 2) if out is None else out
-    x = ndtri(nodes)
-    for i, j in _upper_pairs(nodes.size):
-        u, v = nodes[i], nodes[j]
-        upper = u + v > 1.0
-        # below the anti-diagonal C is the upper tail at (-x_u, -x_v)
-        sign = np.where(upper, 1.0, -1.0)
-        c = np.where(upper, u + v - 1.0, 0.0) \
-            + _bvnu_vec(sign * x[i], sign * x[j], rho)
-        C[i, j] = C[j, i] = np.clip(c, np.maximum(u + v - 1.0, 0.0),
-                                    np.minimum(u, v))
-    return C
-
-
-def bridge_covariance(grid: GridSpec, rho) -> np.ndarray:
-    """The 2m x 2m block covariance of ``(B(u_i), Bt(u_i))``.
-
-    Diagonal blocks are the Brownian-bridge kernel ``min(u,v) - uv``;
-    off-diagonal blocks are ``C_rho(u,v) - uv``.  The blocks are written
-    into one ``(2m, 2m)`` array, with one ``(m, m)`` temporary for ``uv``.
-    This is the reference the samplers' ``K_D`` and ``K_S`` are checked
-    against; no sampler factors it.
-    """
-    corr = as_correlation(rho)
-    u = grid.nodes
-    m = u.size
-    cov = np.empty((2 * m, 2 * m))
-    bridge, cross = cov[:m, :m], cov[:m, m:]
-    uv = np.multiply.outer(u, u)
-    np.minimum.outer(u, u, out=bridge)
-    bridge -= uv
-    cov[m:, m:] = bridge
-    _copula_matrix(u, corr.rho, out=cross)
-    cross -= uv
-    cov[m:, :m] = cross.T
-    return cov
+def _bridge_kernel(nodes: np.ndarray) -> np.ndarray:
+    """``Kb = min(u,v) - uv``, the Brownian-bridge covariance on the grid."""
+    K = np.minimum.outer(nodes, nodes)
+    K -= np.multiply.outer(nodes, nodes)
+    return K
 
 
 def _difference_covariance(nodes: np.ndarray, rho: float) -> np.ndarray:
@@ -286,7 +248,9 @@ def _difference_covariance(nodes: np.ndarray, rho: float) -> np.ndarray:
     correlation ``-rho``, so it keeps full relative precision where
     ``min(u,v)`` and ``C_rho`` nearly cancel (``rho`` near 1, or the
     tails).  The ``i <= j`` pairs are evaluated ``_COPULA_CHUNK`` at a
-    time, clipped to ``[0, 2 min(u_i, 1 - u_j)]`` and mirrored.
+    time, clipped to ``[0, 2 min(u_i, 1 - u_j)]`` and mirrored.  This is
+    the module's one bivariate-normal pass: ``bridge_covariance`` and
+    ``_sum_covariance`` are built from it.
     """
     K = np.empty((nodes.size,) * 2)
     x = ndtri(nodes)
@@ -297,16 +261,36 @@ def _difference_covariance(nodes: np.ndarray, rho: float) -> np.ndarray:
     return K
 
 
+def bridge_covariance(grid: GridSpec, rho) -> np.ndarray:
+    """The 2m x 2m block covariance of ``(B(u_i), Bt(u_i))``.
+
+    Diagonal blocks are the Brownian-bridge kernel ``Kb = min(u,v) - uv``;
+    off-diagonal blocks are ``C_rho(u,v) - uv``, built as ``Kb - K_D/2``
+    from :func:`_difference_covariance`, so their error is ``Kb``'s own
+    rounding.  The blocks are written into one ``(2m, 2m)`` array.  This
+    is the reference the samplers' ``K_D`` and ``K_S`` are checked
+    against; no sampler factors it.
+    """
+    corr = as_correlation(rho)
+    u = grid.nodes
+    m = u.size
+    cov = np.empty((2 * m, 2 * m))
+    bridge, cross = cov[:m, :m], cov[:m, m:]
+    bridge[...] = _bridge_kernel(u)
+    cov[m:, m:] = bridge
+    np.multiply(_difference_covariance(u, corr.rho), -0.5, out=cross)
+    cross += bridge
+    cov[m:, :m] = cross.T
+    return cov
+
+
 def _sum_covariance(nodes: np.ndarray, rho: float) -> np.ndarray:
     """``K_S = 2 (min(u,v) + C_rho(u,v) - 2uv)``, the covariance of
-    ``B + Bt``: twice the sum of ``bridge_covariance``'s two blocks."""
-    uv = np.multiply.outer(nodes, nodes)
-    K = np.minimum.outer(nodes, nodes)
-    K -= uv
-    C = _copula_matrix(nodes, rho)
-    C -= uv
-    K += C
-    K *= 2.0
+    ``B + Bt``: twice the sum of ``bridge_covariance``'s two blocks, built
+    as ``4 Kb - K_D``."""
+    K = _bridge_kernel(nodes)
+    K *= 4.0
+    K -= _difference_covariance(nodes, rho)
     return K
 
 

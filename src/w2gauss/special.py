@@ -99,10 +99,15 @@ class Correlation:
 
 
 def as_correlation(rho) -> Correlation:
-    """Coerce a float or Correlation to a validated Correlation."""
+    """Coerce a float or Correlation to a validated Correlation;
+    ``DomainError`` for anything ``float()`` rejects."""
     if isinstance(rho, Correlation):
         return rho
-    return Correlation(float(rho))
+    try:
+        rho = float(rho)
+    except (TypeError, ValueError):
+        raise DomainError(f"rho must be a real number, got {rho!r}") from None
+    return Correlation(rho)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -500,7 +505,7 @@ def _de_quad(f, a, b, what: str, rel: float, abs_: float):
     """Certified integrals of ``f`` over ``[a[i], b[i]]``, one per row i.
 
     The package's one quadrature rule, on the nodes ``a + d (1 + tanh(pi/2
-    sinh s))`` with ``d = (b-a)/2``.  Each level halves the step and
+    sinh s))`` with ``d = (b-a)/2``.  Each level cuts the step in two and
     evaluates only its new nodes through ``f(x, rows)``, the listed rows'
     integrands.  A row retires once its error estimate (the change from the
     last level, the outermost nodes' share and QUADPACK's rounding floor 50

@@ -32,6 +32,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DomainError
+from .special import as_correlation
 
 __all__ = [
     "DOMAINS",
@@ -253,17 +254,6 @@ def standard_normals(rng: np.random.Generator, size) -> np.ndarray:
     return _normals_inplace(uniforms_open(rng, size))
 
 
-def _pair_rho(rho) -> float:
-    """``float(rho)``, or ``DomainError`` unless it is finite with |rho| < 1."""
-    try:
-        rho = float(rho)
-    except (TypeError, ValueError):
-        raise DomainError(f"correlated pairs need a real rho, got {rho!r}")
-    if not (math.isfinite(rho) and abs(rho) < 1):
-        raise DomainError(f"correlated pairs need |rho| < 1, got {rho!r}")
-    return rho
-
-
 def _correlate_inplace(x: np.ndarray, z: np.ndarray, rho: float) -> np.ndarray:
     """``Y = rho X + sqrt(1-rho^2) Z`` for independent normals, over ``z``."""
     z *= math.sqrt(1.0 - rho * rho)
@@ -278,7 +268,7 @@ def correlated_normal_pairs(rng: np.random.Generator, size, rho):
     Correlation); |rho| < 1 is required.  X's normals are drawn first,
     then Z's.
     """
-    rho = _pair_rho(rho)
+    rho = as_correlation(rho).rho
     x = standard_normals(rng, size)
     z = standard_normals(rng, size)
     return x, _correlate_inplace(x, z, rho)

@@ -51,6 +51,7 @@ def test_config_validation_rejections():
         dict(ok, ns=(False,)),
         dict(experiment="two_sample", seed=1, ns=(100,), reps=4),  # no rho
         dict(experiment="two_sample", seed=1, ns=(100,), reps=4, rho=1.5),
+        dict(experiment="two_sample", seed=1, ns=(100,), reps=4, rho="abc"),
         dict(experiment="limit_compare", seed=1, ns=(100,), reps=4, rho=0.0),
     ]
     for kwargs in bad_cases:

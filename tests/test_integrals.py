@@ -73,13 +73,6 @@ def test_bickel_centered_approaches_log2_plus_gamma0():
     assert LOG2_PLUS_GAMMA0 - centered[-1] < 0.03
 
 
-def test_bickel_symmetry_flag_agrees():
-    for n in (1e4, 1e8):
-        a = bickel_integral(n, use_symmetry=True).value
-        b = bickel_integral(n, use_symmetry=False).value
-        assert abs(a - b) <= 1e-10 * abs(a)
-
-
 def test_bickel_halving_self_validation():
     # the 1/n window shift changes the value by ~(log 2)/stuff, not wildly:
     # doubling n moves the value by less than loglog spacing

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -20,7 +21,6 @@ from w2gauss import (BridgePair, Correlation, CovarianceError, DomainError,
                      simulate_bridge_pair_gaussian, truncated_second_moment,
                      truncation_bias)
 from w2gauss import limitlaw, streams
-from w2gauss.limitlaw import _copula_matrix
 from w2gauss.special import _bvnu_vec
 from w2gauss.streams import (_keyed_uniforms, correlated_normal_pairs,
                              standard_normals, substream)
@@ -158,19 +158,65 @@ def _copula_matrix_full_grid(nodes, rho):
     return np.clip(C, np.maximum(U + V - 1.0, 0.0), np.minimum(U, V))
 
 
-@pytest.mark.parametrize("rho", [0.6, -0.5])
+def _bridge_kernel_reference(nodes):
+    """Reference: ``Kb = min(u,v) - uv`` and ``uv`` on all m^2 cells."""
+    U, V = np.meshgrid(nodes, nodes, indexing="ij")
+    return np.minimum(U, V) - U * V, U * V
+
+
+@pytest.mark.parametrize("rho", [0.6, -0.5, 0.95, -0.95])
 def test_copula_matrix_matches_full_grid_construction(rho):
-    nodes = build_grid(512, 1.25e-5).nodes
-    got = _copula_matrix(nodes, rho)
-    assert got.tobytes() == _copula_matrix_full_grid(nodes, rho).tobytes()
+    # the cross block C_rho - uv, derived from K_D, against the survival
+    # identity evaluated on every cell
+    grid = build_grid(512, 1.25e-5)
+    m = grid.m
+    cross = bridge_covariance(grid, rho)[:m, m:]
+    want = _copula_matrix_full_grid(grid.nodes, rho) \
+        - _bridge_kernel_reference(grid.nodes)[1]
+    assert np.abs(cross - want).max() <= 1e-15
+
+
+def _cross_mp(ui: float, uj: float, rho: float):
+    """``C_rho(u_i, u_j) - u_i u_j`` and ``u_i (1 - u_j)`` for ``u_i <=
+    u_j``, 30 digits: the cross entry is ``u_i (1 - u_j) - P(X <= a, Y >
+    b)`` with ``P = int_-inf^a phi(x) Phi((rho x - b)/s) dx``, ``a, b``
+    the exact quantiles of the float nodes."""
+    with mpmath.workdps(30):
+        ui, uj, rho = mpmath.mpf(ui), mpmath.mpf(uj), mpmath.mpf(rho)
+        a, b = (mpmath.sqrt(2) * mpmath.erfinv(2 * u - 1) for u in (ui, uj))
+        s = mpmath.sqrt(1 - rho * rho)
+        points = [-mpmath.inf, a]
+        if rho != 0 and b / rho < a:
+            points.insert(1, b / rho)
+        p = mpmath.quad(
+            lambda x: mpmath.npdf(x) * mpmath.ncdf((rho * x - b) / s), points)
+        kb = ui * (1 - uj)
+        return kb - p, kb
+
+
+@pytest.mark.parametrize("rho", [0.95, 0.05, -0.95])
+def test_cross_block_matches_mpmath_oracle(rho):
+    # the derived cross block Kb - K_D/2 errs by no more than Kb's own
+    # rounding plus 1e-14 of the entry's scale: u_i (1 - u_j), or the
+    # entry itself where a negative rho makes it larger
+    grid = build_grid(32, 1e-6)
+    u, m = grid.nodes, grid.m
+    sigma = bridge_covariance(grid, rho)
+    for i, j in ((0, 31), (3, 9), (5, 26), (12, 30), (16, 16), (20, 31),
+                 (25, 28), (31, 31)):
+        want, kb = _cross_mp(u[i], u[j], rho)
+        with mpmath.workdps(30):
+            err = abs(mpmath.mpf(sigma[i, m + j]) - want)
+            bound = abs(mpmath.mpf(sigma[i, j]) - kb) \
+                + 1e-14 * max(kb, abs(want))
+            assert err <= bound, (i, j, float(err), float(bound))
 
 
 def _bridge_covariance_reference(grid, rho):
-    """Reference: the meshgrid / ``np.block`` assembly of the covariance."""
-    u = grid.nodes
-    U, V = np.meshgrid(u, u, indexing="ij")
-    bridge = np.minimum(U, V) - U * V
-    cross = _copula_matrix(u, rho) - U * V
+    """Reference: the meshgrid / ``np.block`` assembly of the covariance,
+    with cross blocks ``Kb - K_D/2``."""
+    bridge = _bridge_kernel_reference(grid.nodes)[0]
+    cross = bridge - _difference_covariance_reference(grid, rho) / 2.0
     return np.block([[bridge, cross], [cross.T, bridge]])
 
 
@@ -185,10 +231,9 @@ def _difference_covariance_reference(grid, rho):
 
 
 def _sum_covariance_reference(grid, rho):
-    """Reference: ``K_S`` as twice the sum of the reference blocks."""
-    m = grid.m
-    cov = _bridge_covariance_reference(grid, rho)
-    return 2.0 * (cov[:m, :m] + cov[:m, m:])
+    """Reference: ``K_S`` as ``4 Kb - K_D``."""
+    return 4.0 * _bridge_kernel_reference(grid.nodes)[0] \
+        - _difference_covariance_reference(grid, rho)
 
 
 def _cholesky_reference(cov):
@@ -235,10 +280,9 @@ def test_covariance_and_factor_match_reference_construction(monkeypatch, m,
 @example(m=96, rho=-0.99, delta=1e-8)
 def test_difference_and_sum_covariances_property(m, rho, delta):
     grid = build_grid(m, delta)
-    # exchangeability, the premise that S and D are independent
-    C = _copula_matrix(grid.nodes, rho)
-    assert np.array_equal(C, C.T)
-    kd, ks = _pair_covariances(grid, rho)
+    kb, uv = _bridge_kernel_reference(grid.nodes)
+    cross = _copula_matrix_full_grid(grid.nodes, rho) - uv
+    kd, ks = 2.0 * (kb - cross), 2.0 * (kb + cross)
     for got, want in ((limitlaw._difference_covariance(grid.nodes, rho), kd),
                       (limitlaw._sum_covariance(grid.nodes, rho), ks)):
         assert np.array_equal(got, got.T)
@@ -291,17 +335,11 @@ def test_blocked_cholesky_property(m, rho, delta, panel):
 
 
 @pytest.mark.parametrize("chunk", [7, 64 * 65 // 2 + 1])
-def test_copula_matrix_bytes_do_not_depend_on_chunk(monkeypatch, chunk):
+def test_difference_covariance_bytes_do_not_depend_on_chunk(monkeypatch,
+                                                            chunk):
     nodes = build_grid(64, 1e-4).nodes
-    want = _copula_matrix(nodes, 0.95)
-    monkeypatch.setattr(limitlaw, "_COPULA_CHUNK", chunk)
-    assert _copula_matrix(nodes, 0.95).tobytes() == want.tobytes()
-    out = np.full((2 * nodes.size, 2 * nodes.size), np.nan)
-    _copula_matrix(nodes, 0.95, out=out[:64, 64:])
-    assert out[:64, 64:].tobytes() == want.tobytes()
-    assert np.isnan(out[:, :64]).all() and np.isnan(out[64:]).all()
     kd = limitlaw._difference_covariance(nodes, 0.95)
-    monkeypatch.setattr(limitlaw, "_COPULA_CHUNK", 4096)
+    monkeypatch.setattr(limitlaw, "_COPULA_CHUNK", chunk)
     assert limitlaw._difference_covariance(nodes, 0.95).tobytes() \
         == kd.tobytes()
 

@@ -37,6 +37,10 @@ def test_correlation_range_and_zero_flag():
     for bad in (1.0, -1.0, 1.5, math.nan):
         with pytest.raises(DomainError):
             Correlation(bad)
+    # anything float() rejects is a DomainError too, not a TypeError
+    for bad in (None, "abc"):
+        with pytest.raises(DomainError):
+            as_correlation(bad)
 
 
 # --------------------------------------------------------------------------
