@@ -32,7 +32,7 @@ from .limitlaw import (MECHANISMS, _draw_summary, build_grid, ks_two_sample,
 from .special import (as_correlation, h_tail_expansion, psi, psi_expansion,
                       quantile_tail_expansion, scaled_tail, std_normal_quantile)
 from .streams import (_correlate_inplace, _integer, _normals_inplace,
-                      _philox_keys, _replicate)
+                      _replicate, _stream_states)
 from .wasserstein import _cell_tables, _check_sorted_rows, _w2sq_rows
 
 __all__ = [
@@ -139,17 +139,20 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
     :func:`w2sq_two_sample`.  The values are bit-for-bit those of that
     per-replication loop, at every ``workers``.
 
-    The Philox keys of all ``reps`` substreams are derived up front in one
-    vectorised pass (:func:`streams._philox_keys`); :func:`streams._replicate`
-    runs the block pipeline, finishing each block in place with the normal
-    transform, sort (:func:`_sort_rows`), sortedness check and W2
-    reduction.  Each block's W2 values are one row-wise reduction
-    (:func:`wasserstein._w2sq_rows`) of the rank-wise gaps: ``Z - m`` against the cell means of
-    :func:`wasserstein._cell_tables`, or ``X - Y`` for pairs.  One-sample
-    blocks are sorted as uniforms, before ``ndtri``: the transform is
-    increasing and runs faster on sorted input.  Should rounding leave a
-    row out of order after the transform, the block is sorted again, which
-    gives the per-replication loop's rows.
+    The SFC64 states of all ``reps`` substreams are derived up front in
+    one vectorised pass (:func:`streams._stream_states`), and each
+    replication's uniforms are filled straight from its state.  The
+    streams were Philox before; the switch to SFC64 moved every seeded
+    table's bytes once.  :func:`streams._replicate` runs the block
+    pipeline, finishing each block in place with the normal transform,
+    sort (:func:`_sort_rows`), sortedness check and W2 reduction.  Each
+    block's W2 values are one row-wise reduction
+    (:func:`wasserstein._w2sq_rows`) of the rank-wise gaps: ``Z - m``
+    against the cell means of :func:`wasserstein._cell_tables`, or
+    ``X - Y`` for pairs.  One-sample blocks are sorted as uniforms, before
+    ``ndtri``: the transform is increasing and runs faster on sorted
+    input.  Should rounding leave a row out of order after the transform,
+    the block is sorted again, which gives the per-replication loop's rows.
     """
     n, reps, workers = (_integer("n", n), _integer("reps", reps),
                         _integer("workers", workers))
@@ -177,8 +180,8 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
         _check_sorted_rows(u, ordered)
         return _w2sq_rows(np.subtract(u[0], m, out=u[0]), within)
 
-    keys = _philox_keys(seed, (domain, n), range(reps))
-    return _replicate(keys, 2 if pairs else 1, n, finish, workers)
+    states = _stream_states(seed, (domain, n), range(reps))
+    return _replicate(states, 2 if pairs else 1, n, finish, workers)
 
 
 def _loglog(n: int) -> float:

@@ -46,7 +46,7 @@ from .integrals import DELTA_FLOOR, truncated_second_moment
 from .special import (Correlation, _bvnu_scalar, _bvnu_vec, as_correlation,
                       copula_diagonal_gap, density_quantile_h)
 from .streams import (_correlate_inplace, _integer, _keyed_uniforms,
-                      _normals_inplace, _philox_keys, _replicate)
+                      _normals_inplace, _replicate, _stream_states)
 
 __all__ = [
     "GridSpec",
@@ -294,8 +294,10 @@ def _sum_covariance(nodes: np.ndarray, rho: float) -> np.ndarray:
     return K
 
 
-# the newest factor of K_D only: limit-compare reuses a factor across its
-# n loop only while the grid stays the same; a miss frees the old one first
+# the newest grid's factors only, ``{"difference": L_D}`` and, once a
+# single-pair draw asks for it, ``"sum": L_S``: limit-compare reuses a factor
+# across its n loop only while the grid stays the same; a miss frees the old
+# ones first
 _factor_cache: dict = {}
 
 
@@ -394,12 +396,23 @@ def _cholesky_factor(grid: GridSpec, rho: float) -> np.ndarray:
     key = (grid.nodes.tobytes(), rho)
     hit = _factor_cache.get(key)
     if hit is not None:
-        return hit
+        return hit["difference"]
     _factor_cache.clear()
     L = _factor_inplace(_difference_covariance(grid.nodes, rho),
                         "bridge difference", grid, rho)
-    _factor_cache[key] = L
+    _factor_cache[key] = {"difference": L}
     return L
+
+
+def _sum_factor(grid: GridSpec, rho: float) -> np.ndarray:
+    """The Cholesky factor of ``K_S``, the covariance of ``B + Bt``, built
+    on first use and cached beside the grid's ``K_D`` factor."""
+    _cholesky_factor(grid, rho)
+    factors = _factor_cache[(grid.nodes.tobytes(), rho)]
+    if "sum" not in factors:
+        factors["sum"] = _factor_inplace(_sum_covariance(grid.nodes, rho),
+                                         "bridge sum", grid, rho)
+    return factors["sum"]
 
 
 # --------------------------------------------------------------------------
@@ -432,8 +445,8 @@ def _coupled_bridges(grid: GridSpec, rho: float, m_sample: int):
 
 def _mechanism(mechanism: str, grid: GridSpec, rho: float, seed: int,
                draws: range, m_sample: int):
-    """``(keys, parts, width, diffs)`` of ``draws``: ``diffs`` maps a
-    ``(parts, rows, width)`` block of the keys' uniforms (one row per draw)
+    """``(states, parts, width, diffs)`` of ``draws``: ``diffs`` maps a
+    ``(parts, rows, width)`` block of the states' uniforms (one row per draw)
     to those draws' differences ``bx - by``, as consecutive strips of
     rows, each a new array."""
     if mechanism == "gaussian_grid":
@@ -442,11 +455,11 @@ def _mechanism(mechanism: str, grid: GridSpec, rho: float, seed: int,
         def gaussian(u: np.ndarray):
             z = _normals_inplace(u[0])
             return (z[s:e] @ LT for s, e in _row_strips(z.shape[0]))
-        return (_philox_keys(seed, ("limit_gaussian",), draws), 1, grid.m,
+        return (_stream_states(seed, ("limit_gaussian",), draws), 1, grid.m,
                 gaussian)
     m_sample = _m_sample(m_sample)
     coupled = _coupled_bridges(grid, rho, m_sample)
-    return (_philox_keys(seed, ("limit_empirical",), draws), 2, m_sample,
+    return (_stream_states(seed, ("limit_empirical",), draws), 2, m_sample,
             lambda u: [np.subtract(*coupled(u))])
 
 
@@ -459,11 +472,10 @@ def _gaussian_pairs(grid: GridSpec, rho: float, seed: int, draws: range):
     """
     m = grid.m
     z = _normals_inplace(_keyed_uniforms(
-        _philox_keys(seed, ("limit_gaussian",), draws),
+        _stream_states(seed, ("limit_gaussian",), draws),
         np.empty((1, len(draws), 2 * m)))[0])
     d = z[:, :m] @ _cholesky_factor(grid, rho).T
-    s = z[:, m:] @ _factor_inplace(_sum_covariance(grid.nodes, rho),
-                                   "bridge sum", grid, rho).T
+    s = z[:, m:] @ _sum_factor(grid, rho).T
     return (s + d) / 2.0, (s - d) / 2.0
 
 
@@ -492,10 +504,10 @@ def simulate_bridge_pair_coupled(grid: GridSpec, rho, m_sample: int,
     """
     corr = as_correlation(rho)
     m_sample = _m_sample(m_sample)
-    keys = _philox_keys(seed, ("limit_empirical",),
-                        range(draw_index, draw_index + 1))
+    states = _stream_states(seed, ("limit_empirical",),
+                            range(draw_index, draw_index + 1))
     bx, by = _coupled_bridges(grid, corr.rho, m_sample)(
-        _keyed_uniforms(keys, np.empty((2, 1, m_sample))))
+        _keyed_uniforms(states, np.empty((2, 1, m_sample))))
     return BridgePair(grid=grid, bx=bx[0], by=by[0], rho=corr)
 
 
@@ -624,11 +636,11 @@ def sample_limit_law(rho, grid: GridSpec, n_draws: int, mechanism: str,
             "(truncated means grow without bound as delta -> 0); pass "
             "divergence_demo=True to sample the truncated functional "
             "deliberately")
-    keys, parts, width, diffs = _mechanism(mechanism, grid, corr.rho, seed,
-                                           range(n_draws), m_sample)
+    states, parts, width, diffs = _mechanism(mechanism, grid, corr.rho, seed,
+                                             range(n_draws), m_sample)
     h = np.asarray(density_quantile_h(grid.nodes))
     values = _replicate(
-        keys, parts, width,
+        states, parts, width,
         lambda u: np.concatenate([_functional_rows(d, grid.nodes, h)
                                   for d in diffs(u)]), workers)
     return LimitSample(values=values, rho=corr, mechanism=mechanism,

@@ -1,21 +1,25 @@
 """Deterministic, splittable random streams and variate generation.
 
-Every stochastic routine in the package draws from a counter-derived
-Philox substream keyed by ``(master seed, domain label, indices...)``.
-Distinct keys give statistically independent streams, and a replication's
-stream depends only on its own index — never on scheduling or worker
-count — so parallel runs are byte-reproducible.
+Every stochastic routine in the package draws from an SFC64 substream
+seeded by ``(master seed, domain label, indices...)``.  Distinct keys give
+independent streams in the sense numpy documents for ``SeedSequence``
+spawning: each key is hashed into its own 192-bit seed, and each stream
+has a period of at least 2^64.  Unlike Philox, where each key selects a
+distinct bijection, distinct SFC64 streams are not disjoint by
+construction; overlap between them is improbable, not impossible.  A
+replication's stream depends only on its own index — never on scheduling
+or worker count — so parallel runs are byte-reproducible.
 
 :func:`substream` defines a stream: numpy's ``SeedSequence`` hashes the
-key into a 128-bit Philox key.  Seeded replications need thousands of
-streams per run, so :func:`_philox_keys` does that hashing for a whole
-range of replication indices in one vectorised pass, and
-:func:`_keyed_uniforms` re-keys one private ``Philox`` per replication
-through a state dict of plain ints and fills each row straight from the
-generator, giving the same uniforms :func:`uniforms_open` draws from the
-same stream.  :func:`_replicate`, the one replication loop, hands blocks of
-them to a caller's ``finish`` (W2 engine or limit law), which may overwrite
-the block in place.
+key into three 64-bit words, which SFC64 runs through 12 warm-up rounds.
+Seeded replications need thousands of streams per run, so
+:func:`_stream_states` does that hashing and warm-up for a whole range of
+replication indices in one vectorised pass, and :func:`_keyed_uniforms`
+sets one private ``SFC64``'s state per replication and fills each row
+straight from the generator, giving the same uniforms
+:func:`uniforms_open` draws from the same stream.  :func:`_replicate`, the
+one replication loop, hands blocks of them to a caller's ``finish`` (W2
+engine or limit law), which may overwrite the block in place.
 
 Normal variates are produced by inverse-cdf transform of open-interval
 uniforms, so a single audited quantile path feeds all samplers, and
@@ -66,6 +70,9 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# SFC64 seeds its first three words from SeedSequence and runs 12 rounds
+_SEED_WORDS = 3
+_SFC64_WARMUP = 12
 
 
 def _integer(name: str, value) -> int:
@@ -104,14 +111,14 @@ def _key_ints(parts) -> tuple[int, ...]:
 
 
 def substream(master_seed: int, *key) -> np.random.Generator:
-    """Independent Philox generator for ``(master_seed, *key)``.
+    """Independent SFC64 generator for ``(master_seed, *key)``.
 
     ``key`` elements are nonnegative integers or registered domain names;
     the pair (seed, key) fully determines the stream.
     """
     ss = np.random.SeedSequence(entropy=_master_seed(master_seed),
                                 spawn_key=_key_ints(key))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _words(q: int) -> list[int]:
@@ -141,16 +148,17 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
-def _philox_keys(seed: int, key: tuple, reps: range) -> np.ndarray:
-    """The ``(len(reps), 2)`` uint64 Philox keys of ``substream(seed, *key,
+def _stream_states(seed: int, key: tuple, reps: range) -> np.ndarray:
+    """The ``(len(reps), 4)`` uint64 SFC64 states of ``substream(seed, *key,
     rep)`` for every ``rep`` in ``reps = range(start, stop)``.
 
-    Row ``i`` equals ``SeedSequence(entropy=seed, spawn_key=(*key, reps[i]))
-    .generate_state(2, np.uint64)``, domains as ``DOMAINS`` numbers: numpy's
-    pool-4 hash mixing, done in uint32 lanes, one lane per replication.  The
-    entropy words of seed and key prefix (``(domain, n)`` for the W2 engine,
-    ``(domain,)`` for the limit law) are the same in every lane and are mixed
-    once; a rep at or above 2^32 adds a second word, so only those lanes mix it.
+    Row ``i`` equals ``SFC64(SeedSequence(entropy=seed, spawn_key=(*key,
+    reps[i]))).state["state"]["state"]``, domains as ``DOMAINS`` numbers:
+    numpy's pool-4 hash mixing, done in uint32 lanes, one lane per
+    replication, then SFC64's seeding in uint64 lanes.  The entropy words of
+    seed and key prefix (``(domain, n)`` for the W2 engine, ``(domain,)`` for
+    the limit law) are the same in every lane and are mixed once; a rep at or
+    above 2^32 adds a second word, so only those lanes mix it.
     """
     seed = _master_seed(seed)
     *prefix, _ = _key_ints((*key, reps.start))
@@ -176,12 +184,22 @@ def _philox_keys(seed: int, key: tuple, reps: range) -> np.ndarray:
     if high.any():
         pool = [np.where(high != 0, two, one)
                 for one, two in zip(pool, absorb(pool, high))]
-    # generate_state(2, uint64): four hashed pool words, paired little-endian
+    # generate_state(3, uint64): six hashed words, the pool read cyclically,
+    # paired little-endian
     hashmix = _HashMix(_INIT_B, _MULT_B)
-    state = np.empty((rep.size, _POOL), dtype="<u4")
-    for i, p in enumerate(pool):
-        state[:, i] = hashmix(p)
-    return state.view("<u8").astype(np.uint64)
+    words = np.empty((rep.size, 2 * _SEED_WORDS), dtype="<u4")
+    for i in range(2 * _SEED_WORDS):
+        words[:, i] = hashmix(pool[i % _POOL])
+    a, b, c = words.view("<u8").astype(np.uint64).T
+    # SFC64's seeding: counter 1, then rounds of sfc64_next, output dropped
+    w = np.ones_like(a)
+    for _ in range(_SFC64_WARMUP):
+        tmp = a + b + w
+        w += np.uint64(1)
+        a = b ^ (b >> np.uint64(11))
+        b = c + (c << np.uint64(3))
+        c = (c << np.uint64(24) | c >> np.uint64(40)) + tmp
+    return np.stack([a, b, c, w], axis=1)
 
 
 def _below_one(u: np.ndarray) -> np.ndarray:
@@ -212,10 +230,10 @@ def uniforms_open(rng: np.random.Generator, size) -> np.ndarray:
     return _open_unit(rng.integers(0, 2 ** 53, size=size, dtype=np.int64))
 
 
-def _keyed_uniforms(keys: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out[:, r]`` from the Philox stream keyed by ``keys[r]``.
+def _keyed_uniforms(states: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out[:, r]`` from the SFC64 stream whose state is ``states[r]``.
 
-    ``out`` is a float64 ``(parts, len(keys), n)`` array whose rows are
+    ``out`` is a float64 ``(parts, len(states), n)`` array whose rows are
     contiguous.  Row ``r`` gets what ``parts`` calls of
     ``uniforms_open(g, n)`` give on that stream.  ``integers(0, 2**53)``
     turns each raw word ``w`` into ``k = w >> 11`` (Lemire's method never
@@ -224,19 +242,16 @@ def _keyed_uniforms(keys: np.ndarray, out: np.ndarray) -> np.ndarray:
     the generator and the block finished in one pass that adds 2^-54
     (then :func:`_below_one`): ``k * 2^-53 + 2^-54`` rounds the same real
     number ``(2k + 1) 2^-54`` that ``(k + 1/2) / 2^53`` rounds, so the bits
-    are equal.  One private Philox is re-keyed per row through a state
-    dict of plain ints, with a zero counter and an empty buffer, as a
-    freshly seeded one starts.
+    are equal.  One private SFC64 takes each row's state through its state
+    setter, with no buffered 32-bit half, as a freshly seeded one starts.
     """
     parts = out.shape[0]
-    bits = np.random.Philox(0)
+    bits = np.random.SFC64(0)
     gen = np.random.Generator(bits)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+    state = {"bit_generator": "SFC64", "state": {"state": None},
              "has_uint32": 0, "uinteger": 0}
-    for r, key in enumerate(keys.tolist()):
-        state["state"]["key"] = key
+    for r, words in enumerate(states):
+        state["state"]["state"] = words
         bits.state = state
         for p in range(parts):
             gen.random(out=out[p, r])
@@ -282,12 +297,13 @@ def _block_rows(width: int, parts: int) -> int:
     return max(1, _BLOCK_VALUES // (width * parts))
 
 
-def _replicate(keys: np.ndarray, parts: int, width: int, finish,
+def _replicate(states: np.ndarray, parts: int, width: int, finish,
                workers: int) -> np.ndarray:
-    """One value per key: ``finish(block)`` for each block of keyed uniforms.
+    """One value per stream state: ``finish(block)`` for each block of
+    keyed uniforms.
 
     Row ``r`` of a ``(parts, rows, width)`` block holds ``parts`` calls of
-    ``uniforms_open(g, width)`` on the stream of its key.  ``finish`` may
+    ``uniforms_open(g, width)`` on the stream of its state.  ``finish`` may
     overwrite the block: its buffer is drawn into again only after
     ``finish`` has returned, and the values it returns are copied out
     before that.  Blocks hold about 2^17 numbers (1 MiB), their sizes
@@ -308,7 +324,7 @@ def _replicate(keys: np.ndarray, parts: int, width: int, finish,
     It cancels the blocks still queued, and raises after every pool thread
     has stopped.
     """
-    count = len(keys)
+    count = len(states)
     blocks = -(-count // _block_rows(width, parts))
     spans = [(count * b // blocks, count * (b + 1) // blocks)
              for b in range(blocks)]
@@ -316,7 +332,7 @@ def _replicate(keys: np.ndarray, parts: int, width: int, finish,
     out = np.empty(count)
 
     def draw(start: int, stop: int, buffer: np.ndarray) -> None:
-        _keyed_uniforms(keys[start:stop], buffer[:, :stop - start])
+        _keyed_uniforms(states[start:stop], buffer[:, :stop - start])
 
     def run(start: int, stop: int, buffer: np.ndarray) -> None:
         out[start:stop] = finish(buffer[:, :stop - start])

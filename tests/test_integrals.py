@@ -157,6 +157,22 @@ def test_truncated_monotone_in_delta_and_rho():
     assert all(a > b for a, b in zip(by_rho, by_rho[1:]))
 
 
+def test_truncated_mean_shift_tends_to_two_log_one_minus_rho():
+    # Mehler's expansion gives M(rho, delta) - M(0, delta) -> 2 log(1 - rho)
+    def gap(rho, delta):
+        m, m0 = (truncated_second_moment(r, delta) for r in (rho, 0.0))
+        return (m.value - m0.value - 2.0 * math.log1p(-rho),
+                m.abs_error_estimate + m0.abs_error_estimate)
+
+    # at rho = -0.5 the shift has settled by delta = 1e-10
+    for delta in (1e-10, 1e-14):
+        diff, err = gap(-0.5, delta)
+        assert abs(diff) <= err
+    # at rho = 0.6 it approaches from above (6.7e-3, 3.6e-4, 2.4e-5)
+    gaps = [gap(0.6, delta)[0] for delta in (1e-6, 1e-10, 1e-14)]
+    assert gaps[0] > gaps[1] > gaps[2] > 0.0
+
+
 def test_truncated_domain():
     with pytest.raises(DomainError):
         truncated_second_moment(1.0, 1e-4)

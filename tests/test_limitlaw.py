@@ -416,8 +416,39 @@ def test_factor_cache_keeps_only_the_newest(monkeypatch):
         L = limitlaw._cholesky_factor(grid, 0.6)
         # a new grid replaces the held factor: one 2 MiB L at m = 512
         assert list(cache) == [(grid.nodes.tobytes(), 0.6)]
-        assert cache[(grid.nodes.tobytes(), 0.6)] is L
+        assert list(cache[(grid.nodes.tobytes(), 0.6)]) == ["difference"]
+        assert cache[(grid.nodes.tobytes(), 0.6)]["difference"] is L
         assert limitlaw._cholesky_factor(grid, 0.6) is L
+
+
+def test_sum_factor_built_once_per_grid(monkeypatch):
+    monkeypatch.setattr(limitlaw, "_factor_cache", {})
+    cache = limitlaw._factor_cache
+    grid = build_grid(128, 1e-4)
+    key = (grid.nodes.tobytes(), 0.6)
+    uncached = []
+    for j in range(3):
+        cache.clear()
+        uncached.append(simulate_bridge_pair_gaussian(grid, 0.6, 5, j))
+    builds = []
+    real = limitlaw._sum_covariance
+    monkeypatch.setattr(limitlaw, "_sum_covariance",
+                        lambda *args: builds.append(args) or real(*args))
+    # the batch sampler factors K_D alone
+    cache.clear()
+    sample_limit_law(0.6, grid, 3, "gaussian_grid", 5)
+    assert not builds and list(cache[key]) == ["difference"]
+    for j, want in enumerate(uncached):
+        got = simulate_bridge_pair_gaussian(grid, 0.6, 5, j)
+        assert got.bx.tobytes() == want.bx.tobytes()
+        assert got.by.tobytes() == want.by.tobytes()
+    assert len(builds) == 1
+    assert list(cache) == [key] and sorted(cache[key]) == ["difference", "sum"]
+    assert limitlaw._cholesky_factor(grid, 0.6) is cache[key]["difference"]
+    # a new grid frees both factors of the old one
+    other = build_grid(128, 1e-5)
+    simulate_bridge_pair_gaussian(other, 0.6, 5, 0)
+    assert len(builds) == 2 and list(cache) == [(other.nodes.tobytes(), 0.6)]
 
 
 def test_rho_near_one_bridges_coincide():

@@ -70,33 +70,33 @@ def test_no_collisions_across_rep_range():
          start=0, length=5)
 @example(seed=7, domain="limit_empirical", n=3, prefix=3, index=2 ** 40,
          start=2 ** 32 - 2, length=4)
-def test_philox_keys_match_seed_sequence(seed, domain, n, prefix, index,
-                                         start, length):
+def test_stream_states_match_seed_sequence(seed, domain, n, prefix, index,
+                                           start, length):
     reps = range(start, start + length)
     key = (domain, n, index)[:prefix]
-    got = streams._philox_keys(seed, key, reps)
-    want = [np.random.SeedSequence(entropy=seed,
-                                   spawn_key=(DOMAINS[domain], *key[1:], rep))
-            .generate_state(2, np.uint64) for rep in reps]
+    got = streams._stream_states(seed, key, reps)
+    want = [np.random.SFC64(np.random.SeedSequence(
+        entropy=seed, spawn_key=(DOMAINS[domain], *key[1:], rep)))
+        .state["state"]["state"] for rep in reps]
     assert got.dtype == np.uint64
-    assert got.shape == (length, 2)
-    assert np.array_equal(got, np.reshape(want, (length, 2)))
+    assert got.shape == (length, 4)
+    assert np.array_equal(got, np.reshape(want, (length, 4)))
 
 
-def test_philox_keys_validation():
+def test_stream_states_validation():
     for args in ((-1, ("generic", 4), range(3)), (5, ("nope", 4), range(3)),
                  (5, ("generic", -4), range(3)),
                  (5, ("generic", 4), range(-1, 3))):
         with pytest.raises(DomainError):
-            streams._philox_keys(*args)
+            streams._stream_states(*args)
 
 
 @pytest.mark.parametrize("parts, n", [(1, 1), (1, 1000), (2, 7), (2, 300)])
 def test_keyed_uniforms_match_uniforms_open(parts, n):
     reps = range(3, 9)
     out = np.empty((parts, len(reps), n))
-    streams._keyed_uniforms(streams._philox_keys(42, ("two_sample", n), reps),
-                            out)
+    streams._keyed_uniforms(
+        streams._stream_states(42, ("two_sample", n), reps), out)
     for r, rep in enumerate(reps):
         g = substream(42, "two_sample", n, rep)
         for part in out:
@@ -104,20 +104,26 @@ def test_keyed_uniforms_match_uniforms_open(parts, n):
 
 
 def test_keyed_uniforms_high_key_words_into_reused_buffer():
-    # key words at and above 2^63 pass through tolist() and the Philox
-    # state setter; the buffer is a NaN-filled view of a larger one, as
-    # the pipeline reuses its block buffers
-    keys = np.array([[2 ** 64 - 1, 2 ** 63], [2 ** 63, 0],
-                     [12345, 2 ** 64 - 2]], dtype=np.uint64)
+    # state words at and above 2^63 pass through the SFC64 state setter;
+    # the buffer is a NaN-filled view of a larger one, as the pipeline
+    # reuses its block buffers
+    states = np.array([[2 ** 64 - 1, 2 ** 63, 0, 2 ** 63 + 1],
+                       [2 ** 63, 0, 2 ** 64 - 1, 13],
+                       [12345, 2 ** 64 - 2, 2 ** 63, 2 ** 64 - 1]],
+                      dtype=np.uint64)
     for parts in (1, 2):
-        buffer = np.full((parts, len(keys) + 2, 257), np.nan)
-        out = buffer[:, :len(keys)]
-        assert streams._keyed_uniforms(keys, out) is out
-        for r, key in enumerate(keys):
-            g = np.random.Generator(np.random.Philox(key=key))
+        buffer = np.full((parts, len(states) + 2, 257), np.nan)
+        out = buffer[:, :len(states)]
+        assert streams._keyed_uniforms(states, out) is out
+        for r, words in enumerate(states.tolist()):
+            bits = np.random.SFC64(0)
+            bits.state = {"bit_generator": "SFC64",
+                          "state": {"state": words},
+                          "has_uint32": 0, "uinteger": 0}
+            g = np.random.Generator(bits)
             for part in out:
                 assert part[r].tobytes() == uniforms_open(g, 257).tobytes()
-        assert np.isnan(buffer[:, len(keys):]).all()
+        assert np.isnan(buffer[:, len(states):]).all()
 
 
 def test_open_unit_conversion_at_lattice_edges():
