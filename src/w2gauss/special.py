@@ -12,7 +12,7 @@ Everything here is a pure function of its inputs.  The module provides
   quadrature, both correlation branches) and the Gaussian copula,
   including a cancellation-free diagonal gap ``u - C_rho(u, u)``,
 * the package's one quadrature rule (tanh-sinh on nested levels), which
-  certifies every singular integral and exact order-statistic mean.
+  certifies every singular integral and the exact one-sample mean.
 
 Scalar arguments return floats; most operations also accept ndarrays and
 broadcast elementwise.

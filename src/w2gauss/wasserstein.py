@@ -31,8 +31,8 @@ cancels terms of size 1 and reached 4.7e-13, 4.1e-12 and 3.0e-11 there.
 
 The module also provides the two-sample distance on a common grid, the
 upper-tail decomposition of the half integral into the pieces A, B, C, D
-used to separate extreme-rank and bulk contributions, and an exact /
-series-hybrid evaluation of ``E[n W_2^2] = 2n - 2 sum_i m_i E Z_(i)``.
+used to separate extreme-rank and bulk contributions, and the exact mean
+``E[n W_2^2]`` as one integral of nonnegative Bregman gaps of ``h``.
 The pieces sum the same cell form ``((Z_i - m_i)^2 + v_i)/n``, with the
 per-cell variances ``v_i`` of the same table; the two partial intervals
 take their mean and variance from the same truncated-normal moments, so
@@ -46,10 +46,11 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import betaln, log_ndtr, ndtri
+from scipy.special import ndtri
 
-from .errors import DomainError
-from .special import _LOG_2PI, _SQRT_2PI, _de_quad
+from .errors import DomainError, QuadratureError
+from .special import _SQRT_2PI, _de_quad
+from .streams import _integer
 
 __all__ = [
     "GaussianReference",
@@ -449,78 +450,115 @@ def tail_decomposition(s: SortedSample, C: float = 1.0, theta: float = 2.0,
 # exact expectation of n * W2^2 (one sample, standard reference)
 # --------------------------------------------------------------------------
 
-# a rank's window is cut where its log density has fallen this far below
-# its value at the rank's quantile: e^-60 lies far below every target
-_RANK_TAIL_LOG = 60.0
+# Loader's ``stirlerr(m) = log m! - log(sqrt(2 pi m) (m/e)^m)``, m = 0..15
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.04134069595540929, 0.02767792568499834,
+    0.02079067210376509, 0.01664469118982119, 0.01387612882307075,
+    0.01189670994589177, 0.01041126526197210, 0.009255462182712733,
+    0.008330563433362871, 0.007573675487951841, 0.006942840107209530,
+    0.006408994188004207, 0.005951370112758848, 0.005554733551962801])
+_TAIL_LOG = 40.0  # a window leaves out < u e^-40 / n of Bin(n, u) per side
+_CHUNK = 2 ** 14  # window terms per pass: bounds every temporary
 
 
-def _exact_mean_ranks(n: int, lo: int) -> np.ndarray:
-    """``E Z_(i)`` for ``i = 1..lo``: one certified call, a row per rank.
+def _stirlerr(m):
+    """Loader's ``stirlerr`` at integers ``m``: the table, then the
+    Stirling series, good to ~1e-16 absolute above 15."""
+    r2 = 1.0 / np.maximum(m, 16.0) ** 2
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r2 / 1188) * r2)
+                        * r2) * r2) * np.sqrt(r2)
+    return np.where(m > 15, series, _STIRLERR[np.minimum(m, 15)])
 
-    Rank ``i``'s window is ``z0 +- (12 sd + 1)`` about its quantile ``z0 =
-    Phi^-1(i/(n+1))``, with ``sd`` its delta-method spread, cut on each
-    side where its log density, which is concave, falls ``_RANK_TAIL_LOG``
-    below its value at ``z0`` (found by bisection).  The cut scales the
-    window to the rank's own spread: without it the ``+ 1`` makes the inner
-    ranks' windows dozens of spreads wide.
+
+def _log_binomial_pmf(k, n: int, u):
+    """``log P(B = k)`` for ``B ~ Bin(n, u)``, ``0 <= k <= n``, in Loader's
+    saddle-point form ("Fast and accurate computation of binomial
+    probabilities", 2000).  With ``d = k - nu`` its deviance terms ``k
+    log1p(d/nu) + (n-k) log1p(-d/(n-nu))`` round to ~eps ``|d|``, where
+    log-gammas of size ``n log n`` lose ~1e-9 at n = 1e6.
     """
-    i = np.arange(1, lo + 1)
-    lc = -betaln(i, n - i + 1) - 0.5 * _LOG_2PI
-    p = i / (n + 1.0)
-    z0 = ndtri(p)
-    dens = np.maximum(np.exp(-0.5 * z0 * z0) / _SQRT_2PI, 1e-300)
-    half = 12.0 * np.minimum(np.sqrt(p * (1.0 - p) / n) / dens, 3.0) + 1.0
-
-    def log_density(zv, k, c):
-        return c + (k - 1) * log_ndtr(zv) + (n - k) * log_ndtr(-zv) \
-            - 0.5 * zv * zv
-
-    floor = log_density(z0, i, lc) - _RANK_TAIL_LOG
-    edges = []
-    for side in (-1.0, 1.0):
-        inside, outside = np.zeros(lo), half
-        for _ in range(30):
-            mid = (inside + outside) / 2
-            out = log_density(z0 + side * mid, i, lc) < floor
-            inside = np.where(out, inside, mid)
-            outside = np.where(out, mid, outside)
-        edges.append(z0 + side * outside)
-
-    def f(zv, rows):
-        return zv * np.exp(log_density(zv, i[rows, None], lc[rows, None]))
-
-    return _de_quad(f, *edges, "expected_one_sample_w2sq", rel=1e-11,
-                    abs_=1e-12)[0]
+    log_p = np.empty(k.shape)
+    first, last = k == 0, k == n
+    log_p[first] = n * np.log1p(-u[first])
+    log_p[last] = n * np.log(u[last])
+    inner = ~(first | last)
+    k, mean = k[inner], n * u[inner]
+    log_p[inner] = (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
+                    - k * np.log1p((k - mean) / mean)
+                    - (n - k) * np.log1p((mean - k) / (n - mean))
+                    - 0.5 * np.log(2.0 * math.pi * k * (1.0 - k / n)))
+    return log_p
 
 
-def _dj_mean_ranks(i_arr: np.ndarray, n: int) -> np.ndarray:
-    """Fourth-order David-Johnson series for ``E Z_(i)`` at interior ranks."""
-    p = i_arr / (n + 1.0)
-    q = 1.0 - p
-    x = ndtri(p)
-    h = np.exp(-0.5 * x * x) / _SQRT_2PI
-    Q2 = x / h ** 2
-    Q3 = (1.0 + 2.0 * x * x) / h ** 3
-    Q4 = x * (7.0 + 6.0 * x * x) / h ** 4
-    return (x + p * q / (2.0 * (n + 2.0)) * Q2
-            + p * q / (n + 2.0) ** 2 * ((q - p) * Q3 / 3.0 + p * q * Q4 / 8.0))
-
-
-def expected_one_sample_w2sq(n: int, n_exact_tail: int = 400) -> float:
-    """``E[n W_2^2(F_n, Phi)] = 2n - 2 sum_i m_i E Z_(i)``.
-
-    Averaging the kernel ``sum_i (Z_(i) - m_i)^2 + n V_n`` uses
-    ``sum_i E Z_(i)^2 = n`` and ``sum_i m_i^2 + n V_n = n``; the cell means
-    ``m_i`` come from :func:`_cell_tables`.  The outermost ``n_exact_tail``
-    ranks on each side use certified quadrature for ``E Z_(i)``; interior
-    ranks use the fourth-order David-Johnson series, whose error is
-    negligible away from the edges.  Setting ``n_exact_tail >= n/2`` makes
-    the evaluation fully exact.
+def _bregman_gaps(q, u, x, hu):
+    """``D(q, u) = h(u) - x (q - u) - h(q) >= 0``, with ``x = Phi^{-1}(u)``
+    and ``hu = h(u)``: the integral ``int_x^y (t - x) phi(t) dt``, ``y =
+    Phi^{-1}(q)``.  Near ``x``, where the closed form cancels to second
+    order, it is summed by :func:`_cell_moments` about the midpoint ``c``;
+    the weight ``exp(-c t - t^2/2)`` changes by at most ``e^2`` there, so
+    the 8 nodes leave ~1e-18.
     """
+    y = ndtri(q)
+    gaps = hu - np.exp(-0.5 * y * y) / _SQRT_2PI - x * (q - u)
+    c, w = 0.5 * (y + x), 0.5 * (y - x)
+    near = np.abs(w) * (np.abs(c) + np.abs(w)) <= 1.0
+    c, w = c[near], w[near]
+    s0, s1, _ = _cell_moments(c, w)
+    gaps[near] = np.exp(-0.5 * c * c) / _SQRT_2PI * w * (s1 + w * s0)
+    return gaps
+
+
+def expected_one_sample_w2sq(n: int) -> float:
+    """``E[n W_2^2(F_n, Phi)] = 2n int_0^1 E[D(B_u/n, u)] / h(u) du``,
+
+    with ``B_u ~ Bin(n, u)`` and ``D`` the Bregman gap of the concave ``h``
+    (:func:`_bregman_gaps`): one integral of nonnegative terms.  The rule
+    runs in ``t``, ``u = sin^2(pi t/2)``, so its nodes cluster at both
+    ends, where the windows are short, and keep their digits there; as
+    ``B_{1-u} = n - B_u``, a node past 1/2 is summed at ``1 - u``.  Node u
+    sums ``P(B_u = k) D(k/n, u)`` over ``|k - nu| <= r``, ``r^2 = 2 T (var
+    + r/3)``, ``T = 40 + log(n/u)``: by Bernstein's inequality that leaves
+    out less than ``u e^-40 / n`` on each side.
+
+    The error bound adds the rule's estimate, the windows' tails (at most
+    ``4 e^-40``) and the pmf's rounding, read off as the largest distance
+    of a window's mass from 1.  Raises :class:`QuadratureError` when it
+    exceeds 1e-10 relative.
+    """
+    n = _integer("n", n)
     if n < 1:
         raise DomainError("n >= 1 required")
-    lo = min(int(n_exact_tail), n // 2)
-    means = _dj_mean_ranks(np.arange(1, n + 1), n)  # 0 at an odd n's middle
-    means[:lo] = _exact_mean_ranks(n, lo)
-    means[n - lo:] = -means[:lo][::-1]
-    return 2.0 * n - 2.0 * float(means @ _cell_tables(n)[0])
+    mass_error = [0.0]
+
+    def integrand(t, rows):
+        sin, cos = np.sin(0.5 * math.pi * t[0]), np.cos(0.5 * math.pi * t[0])
+        u = np.maximum(np.minimum(sin * sin, cos * cos), np.finfo(float).tiny)
+        x = ndtri(u)
+        hu = np.exp(-0.5 * x * x) / _SQRT_2PI
+        T = _TAIL_LOG + math.log(n) - np.log(u)
+        reach = T / 3 + np.sqrt(T * T / 9 + 2 * T * n * u * (1.0 - u))
+        lo = np.maximum(np.ceil(n * u - reach), 0).astype(np.int64)
+        sizes = np.minimum(np.floor(n * u + reach), n) - lo + 1
+        start = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        sums = np.zeros((2, u.size))
+        for first in range(0, start[-1], _CHUNK):
+            terms = np.arange(first, min(first + _CHUNK, start[-1]))
+            node = np.searchsorted(start, terms, side="right") - 1
+            k = lo[node] + (terms - start[node])
+            p = np.exp(_log_binomial_pmf(k, n, u[node]))
+            gaps = _bregman_gaps(k / n, u[node], x[node], hu[node])
+            for row, weights in zip(sums, (p * gaps, p)):
+                row[node[0]:node[-1] + 1] += np.bincount(node - node[0],
+                                                         weights)
+        mass_error[0] = max(mass_error[0], np.max(abs(sums[1] - 1.0)))
+        return (2.0 * n * math.pi * sin * cos * sums[0] / hu)[np.newaxis]
+
+    value, err, _ = _de_quad(integrand, [0.0], [1.0],
+                             "expected_one_sample_w2sq", rel=1e-11, abs_=0.0)
+    value = float(value[0])
+    bound = float(err[0]) + 4.0 * math.exp(-_TAIL_LOG) + mass_error[0] * value
+    if not bound <= 1e-10 * value:
+        raise QuadratureError(
+            f"expected_one_sample_w2sq: error bound {bound:.3e} exceeds "
+            f"1e-10 relative of {value!r} at n = {n}")
+    return value

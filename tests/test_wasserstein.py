@@ -1,6 +1,7 @@
 """Exact quantile-integral Wasserstein distances and the tail decomposition."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,7 +13,8 @@ from scipy.special import ndtri
 from w2gauss import (DomainError, GaussianReference, QuadratureError,
                      STANDARD, SortedSample,
                      expected_one_sample_w2sq, quantile_integral,
-                     quantile_sq_integral, standard_normals,
+                     quantile_sq_integral, replicate_w2sq,
+                     standard_normals,
                      std_normal_pdf, std_normal_quantile, substream,
                      tail_decomposition, w2sq_two_sample, w2sq_vs_gaussian)
 from w2gauss import special, wasserstein
@@ -473,33 +475,159 @@ def test_expected_w2sq_regression_values():
                                                            abs=2e-6)
 
 
+def test_expected_w2sq_closed_forms_at_small_n():
+    # from 2n - 2 sum_i m_i E Z_(i): E Z_(1) = -1/sqrt(pi) at n = 2, and
+    # -3/(2 sqrt(pi)) at n = 3, with m_1 = -n h(1/n)
+    with mpmath.workdps(30):
+        x_third = -mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(1) / 3)
+        h_third = mpmath.npdf(x_third)
+        wants = ((1, 2), (2, 4 - 4 * mpmath.sqrt(2) / mpmath.pi),
+                 (3, 6 - 18 * h_third / mpmath.sqrt(mpmath.pi)))
+    for n, want in wants:
+        assert expected_one_sample_w2sq(n) == pytest.approx(
+            float(want), rel=1e-14, abs=0.0), n
+
+
 @pytest.mark.parametrize("n, want", [
-    (10, 2.593676641586523), (101, 3.0216686257342644),
-    (1000, 3.3350445566215967), (10 ** 4, 3.5795381641219137),
-    (10 ** 5, 3.7779734149808064)])
+    (10, 2.593676641586523), (101, 3.0216686257342644)])
 def test_expected_w2sq_matches_adaptive_quadrature_values(n, want):
-    # values of the adaptive Gauss-Kronrod evaluation the rule replaced;
-    # 1e-9 is what the 2n - 2 sum m_i E Z_(i) cancellation leaves of the
-    # ranks' 1e-11 relative tolerance
+    # values of the adaptive Gauss-Kronrod rank evaluation of
+    # 2n - 2 sum m_i E Z_(i), an independent route to the same mean
     assert expected_one_sample_w2sq(n) == pytest.approx(want, rel=1e-9,
                                                         abs=0.0)
 
 
-def test_expected_w2sq_certifies_outer_ranks_at_1e6():
-    # at n = 1e6, n log Phi(-z) from log(ndtr(-z)) carries 1e-10 relative
-    # noise into the rank integrands, which no level of the rule can
-    # certify at 1e-11; log_ndtr keeps them smooth.  The adaptive
-    # evaluation returned 3.94456365192309 here without certifying it
-    assert expected_one_sample_w2sq(10 ** 6) == pytest.approx(
-        3.94456365192309, rel=1e-9, abs=0.0)
+# E[n W2^2] at 30 digits from the mpmath evaluation in the docstring below
+_IDENTITY_30 = {
+    10 ** 3: "3.33504454615640721325514323600",
+    10 ** 4: "3.57953822029074177294407372485",
+    10 ** 5: "3.77797267235812107222263132590",
+    10 ** 6: "3.94455621480004548586593266655",
+}
 
 
-def test_unconverged_rank_raises(monkeypatch):
-    # the outer ranks at n = 1e3 need five levels of the rule;
-    # with three they miss their target, and the mean must not be returned
+@pytest.mark.parametrize("n", sorted(_IDENTITY_30))
+def test_expected_w2sq_matches_mpmath_identity(n):
+    """The identity ``E[n W2^2] = 2n int_0^1 E[D(B_u/n, u)] / h(u) du``
+    at 40 digits, integrated in ``z = Phi^{-1}(u)`` (``du = h(u) dz``) by
+    Gauss-Legendre over 32 pieces of [-16, 0], with the pmf from
+    ``loggamma`` at the mode and ratios outward, and ``D`` in closed
+    form.  64 pieces give the same 32 digits at every n here::
+
+        import mpmath as mp
+        mp.mp.dps = 40
+
+        def identity(n, T=100):
+            hk = {0: mp.mpf(0), n: mp.mpf(0)}
+
+            def h(k):  # h(k/n) = phi(Phi^-1(k/n))
+                if k not in hk:
+                    hk[k] = mp.npdf(-mp.sqrt(2)
+                                    * mp.erfinv(1 - mp.mpf(2 * k) / n))
+                return hk[k]
+
+            def ed(z):  # E[D(B/n, u)], u = Phi(z), B ~ Bin(n, u)
+                u, hz = mp.ncdf(z), mp.npdf(z)
+                t = T / 3 + mp.sqrt(T * T / 9 + 2 * T * n * u * (1 - u))
+                lo = max(0, int(mp.floor(n * u - t)))
+                hi = min(n, int(mp.ceil(n * u + t)))
+                m = min(max(int(mp.floor((n + 1) * u)), lo), hi)
+                pm = mp.exp(mp.loggamma(n + 1) - mp.loggamma(m + 1)
+                            - mp.loggamma(n - m + 1) + m * mp.log(u)
+                            + (n - m) * mp.log(1 - u))
+                total, p = 0, pm
+                for k in range(m, hi + 1):
+                    total += p * (hz - z * (mp.mpf(k) / n - u) - h(k))
+                    p *= (n - k) * u / ((k + 1) * (1 - u))
+                p = pm
+                for k in range(m - 1, lo - 1, -1):
+                    p *= (k + 1) * (1 - u) / ((n - k) * u)
+                    total += p * (hz - z * (mp.mpf(k) / n - u) - h(k))
+                return total
+
+            return 4 * n * mp.quad(ed, mp.linspace(-16, 0, 33),
+                                   method="gauss-legendre")
+    """
+    assert expected_one_sample_w2sq(n) == pytest.approx(
+        float(_IDENTITY_30[n]), rel=1e-10, abs=0.0)
+
+
+def test_log_binomial_pmf_matches_40_digit_values():
+    # log-gammas of size n log n would leave ~1e-9 here at n = 1e6
+    for n in (1, 2, 15, 16, 1000, 10 ** 6):
+        for u in (0.5, 0.1, 1e-4, 1e-9):
+            mode = round(n * u)
+            ks = sorted({0, 1, n - 1, n, mode, min(mode + 40, n)}
+                        & set(range(n + 1)))
+            got = wasserstein._log_binomial_pmf(
+                np.array(ks), n, np.full(len(ks), u))
+            with mpmath.workdps(40):
+                for gi, k in zip(got, ks):
+                    want = (mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
+                            - mpmath.loggamma(n - k + 1) + k * mpmath.log(u)
+                            + (n - k) * mpmath.log1p(-u))
+                    assert gi == pytest.approx(float(want), rel=1e-13,
+                                               abs=1e-13), (n, u, k)
+
+
+def test_bregman_gaps_match_40_digit_values():
+    # near q = u the closed form h(u) - x (q - u) - h(q) cancels to second
+    # order: at q = u (1 - 1e-6) it keeps 1 to 4 digits.  The quadrature
+    # keeps 8 there, limited by the rounding of Phi^{-1}(q) - Phi^{-1}(u)
+    us, qs = [], []
+    for u in (0.5, 0.1, 1e-4, 1e-12):
+        for q in (0.0, u * (1 - 1e-6), u * (1 - 1e-3), u * (1 + 1e-2),
+                  u * 1.3, min(7 * u, 0.9), 1.0):
+            us.append(u)
+            qs.append(q)
+    u, q = np.array(us), np.array(qs)
+    x = ndtri(u)
+    got = wasserstein._bregman_gaps(q, u, x, np.exp(-0.5 * x * x)
+                                    / math.sqrt(2 * math.pi))
+    with mpmath.workdps(40):
+        def h(p):
+            if p in (0, 1):
+                return mpmath.mpf(0)
+            return mpmath.npdf(mpmath.sqrt(2) * mpmath.erfinv(2 * p - 1))
+        for gi, ui, qi in zip(got, us, qs):
+            ui, qi = mpmath.mpf(ui), mpmath.mpf(qi)
+            xi = mpmath.sqrt(2) * mpmath.erfinv(2 * ui - 1)
+            want = h(ui) - xi * (qi - ui) - h(qi)
+            assert gi == pytest.approx(float(want), rel=1e-8, abs=0.0), \
+                (float(ui), float(qi))
+
+
+@pytest.mark.parametrize("n, error", [
+    (1e3, None), (np.int64(1000), None), (2.5, DomainError),
+    ("10", DomainError), (math.nan, DomainError), (True, DomainError),
+    (0, DomainError)])
+def test_expected_w2sq_validates_n(n, error):
+    if error is None:
+        assert expected_one_sample_w2sq(n) == expected_one_sample_w2sq(1000)
+    else:
+        with pytest.raises(error):
+            expected_one_sample_w2sq(n)
+
+
+def test_unconverged_mean_raises(monkeypatch):
+    # n = 1e3 needs five levels of the rule; with three it misses its
+    # target by five orders, and the mean must not be returned
     monkeypatch.setattr(special, "_DE_LEVELS", 3)
     with pytest.raises(QuadratureError, match="expected_one_sample_w2sq"):
         expected_one_sample_w2sq(1000)
+
+
+def test_expected_w2sq_peak_memory():
+    # perfbench's peak_rss_mb on one_sample_small_n reads the benchmark
+    # driver's high-water mark, and the driver makes this very call for
+    # its reference mean, so the windows are summed 2^14 terms at a time
+    tracemalloc.start()
+    try:
+        expected_one_sample_w2sq(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def test_expected_w2sq_monotone_in_n():
@@ -513,7 +641,11 @@ def test_expected_w2sq_against_monte_carlo():
     for r in range(reps):
         s = _sample(n, r, seed=424242)
         vals[r] = n * w2sq_vs_gaussian(s)
-    mean = vals.mean()
-    se = vals.std(ddof=1) / math.sqrt(reps)
-    want = expected_one_sample_w2sq(n)
-    assert abs(mean - want) < 3.5 * se
+    # and n = 1e3 through the replication engine, same seed and bar
+    cases = [(n, vals),
+             (1000, 1000 * replicate_w2sq(424242, "one_sample", 1000, reps))]
+    for n, vals in cases:
+        mean = vals.mean()
+        se = vals.std(ddof=1) / math.sqrt(reps)
+        want = expected_one_sample_w2sq(n)
+        assert abs(mean - want) < 3.5 * se, n
