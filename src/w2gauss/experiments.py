@@ -31,8 +31,8 @@ from .limitlaw import (MECHANISMS, _draw_summary, build_grid, ks_two_sample,
                        sample_limit_law)
 from .special import (as_correlation, h_tail_expansion, psi, psi_expansion,
                       quantile_tail_expansion, scaled_tail, std_normal_quantile)
-from .streams import (_correlate_inplace, _integer, _normals_inplace,
-                      _replicate, _stream_states)
+from .streams import (_integer, _normals_inplace, _pairs_inplace, _replicate,
+                      _stream_states)
 from .wasserstein import _cell_tables, _check_sorted_rows, _w2sq_rows
 
 __all__ = [
@@ -141,12 +141,12 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
 
     The SFC64 states of all ``reps`` substreams are derived up front in
     one vectorised pass (:func:`streams._stream_states`), and each
-    replication's uniforms are filled straight from its state.  The
-    streams were Philox before; the switch to SFC64 moved every seeded
-    table's bytes once.  :func:`streams._replicate` runs the block
-    pipeline, finishing each block in place with the normal transform,
-    sort (:func:`_sort_rows`), sortedness check and W2 reduction.  Each
-    block's W2 values are one row-wise reduction
+    replication's uniforms are filled straight from its state, one row of
+    ``n`` (or ``2n`` for pairs: X's, then Z's) per replication.
+    :func:`streams._replicate` runs the block pipeline, finishing each
+    block in place with the normal transform, sort (:func:`_sort_rows`),
+    sortedness check and W2 reduction.  Each block's W2 values are one
+    row-wise reduction
     (:func:`wasserstein._w2sq_rows`) of the rank-wise gaps: ``Z - m``
     against the cell means of :func:`wasserstein._cell_tables`, or
     ``X - Y`` for pairs.  One-sample blocks are sorted as uniforms, before
@@ -166,22 +166,21 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
         m, _, within = _cell_tables(n)
 
     def finish(u: np.ndarray) -> np.ndarray:
-        # u[0]: each replication's first n uniforms (X's); u[1], pairs: Z's.
-        # The block is the pipeline's buffer: every stage overwrites it.
+        # one row per replication; the block is the pipeline's buffer:
+        # every stage overwrites it
         if pairs:
-            _normals_inplace(u)
-            _correlate_inplace(u[0], u[1], rho)  # u[1] becomes Y
-            _check_sorted_rows(_sort_rows(u))
-            return _w2sq_rows(np.subtract(u[0], u[1], out=u[0]))
+            xy = _sort_rows(_pairs_inplace(u, rho))
+            _check_sorted_rows(xy)
+            return _w2sq_rows(np.subtract(xy[:, 0], xy[:, 1], out=xy[:, 0]))
         _normals_inplace(_sort_rows(u))
         ordered = bool((u[..., 1:] >= u[..., :-1]).all())
         if not ordered:
             _sort_rows(u)
         _check_sorted_rows(u, ordered)
-        return _w2sq_rows(np.subtract(u[0], m, out=u[0]), within)
+        return _w2sq_rows(np.subtract(u, m, out=u), within)
 
     states = _stream_states(seed, (domain, n), range(reps))
-    return _replicate(states, 2 if pairs else 1, n, finish, workers)
+    return _replicate(states, 2 * n if pairs else n, finish, workers)
 
 
 def _loglog(n: int) -> float:

@@ -25,7 +25,7 @@ from scipy.special import betainc, ndtri
 
 from .errors import DomainError
 from .special import _LOG_4PI, std_normal_cdf
-from .streams import substream
+from .streams import _integer, substream
 
 __all__ = [
     "GAMMA0",
@@ -107,7 +107,7 @@ class MomentEstimate:
 
 def harmonic_sums(k: int) -> HarmonicSums:
     """Exact partial harmonic sums through k (empty for k = 0)."""
-    k = int(k)
+    k = _integer("k", k)
     if k < 0:
         raise DomainError("k >= 0 required")
     s1 = math.fsum(1.0 / j for j in range(1, k + 1))
@@ -148,6 +148,7 @@ def extreme_mean(n: int, k: int, variant: str = "shifted", *,
     / sqrt(8 log n)`` with ``idx = k+1`` (as_stated) or ``k`` (shifted).
     The neglected term is ``O((log log n)^2 / (log n)^{3/2})``.
     """
+    n, k = _integer("n", n), _integer("k", k)
     _check_nk(n, k, C, theta)
     idx = _variant_index(k, variant)
     L = math.log(n)
@@ -175,6 +176,7 @@ def sample_extreme(n: int, k: int, reps: int, seed: int) -> MomentEstimate:
     the reflected quantile keeps full precision because B is small.
     Deterministic given the seed.
     """
+    n, k, reps = _integer("n", n), _integer("k", k), _integer("reps", reps)
     if reps < 1:
         raise DomainError("reps >= 1 required")
     if n < 1 or k < 0 or k > n - 1:

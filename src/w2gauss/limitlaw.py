@@ -14,11 +14,11 @@ module draws that functional by two independent mechanisms so each can
 check the other, each one transform of a block of keyed open uniforms,
 one row per draw, into the differences ``bx - by``:
 
-* ``gaussian_grid``: ``(1, rows, m)`` uniforms through ``ndtri`` and
+* ``gaussian_grid``: ``(rows, m)`` uniforms through ``ndtri`` and
   ``@ L.T``, with ``L`` the Cholesky factor of the m x m ``K_D``: exact
   multivariate-normal draws of ``D`` on a fixed grid (the single-pair API
   adds ``S`` from ``K_S``);
-* ``empirical_coupling``: ``(2, rows, m_sample)`` uniforms through ``ndtri``
+* ``empirical_coupling``: ``(rows, 2 m_sample)`` uniforms through ``ndtri``
   into correlated normal pairs, sorted and counted below the node
   quantiles: empirical bridges on the same grid, converging to the same law.
 
@@ -45,8 +45,8 @@ from .integrals import DELTA_FLOOR, truncated_second_moment
 # _bvnu_scalar is unused here but stays bound: perfbench/tracer.py rebinds it
 from .special import (Correlation, _bvnu_scalar, _bvnu_vec, as_correlation,
                       copula_diagonal_gap, density_quantile_h)
-from .streams import (_correlate_inplace, _integer, _keyed_uniforms,
-                      _normals_inplace, _replicate, _stream_states)
+from .streams import (_integer, _keyed_uniforms, _normals_inplace,
+                      _pairs_inplace, _replicate, _stream_states)
 
 __all__ = [
     "GridSpec",
@@ -193,6 +193,7 @@ def build_grid(m: int, delta: float) -> GridSpec:
     uniform on ``[1/3, 2/3]``.  The upper half is the exact floating-point
     mirror of the lower half, so ``u`` and ``1-u`` appear in pairs.
     """
+    m = _integer("m", m)
     if m < 16:
         raise DomainError(f"grid size m >= 16 required, got {m}")
     if not (0.0 < delta < 0.25):
@@ -428,39 +429,38 @@ def _m_sample(m_sample) -> int:
 
 
 def _coupled_bridges(grid: GridSpec, rho: float, m_sample: int):
-    """Map a ``(2, rows, m_sample)`` block of uniforms (one row per draw,
-    overwritten) to those draws' ``(2, rows, m)`` empirical bridges
+    """Map a ``(rows, 2 m_sample)`` block of uniforms (one row per draw,
+    overwritten) to those draws' ``(rows, 2, m)`` empirical bridges
     ``bx, by``."""
     xq = ndtri(grid.nodes)
 
     def coupled(u: np.ndarray) -> np.ndarray:
-        _normals_inplace(u)
-        _correlate_inplace(u[0], u[1], rho)  # u[1] becomes Y
-        u.sort(axis=2)  # in place: the block is the pipeline's buffer
-        counts = np.array([[np.searchsorted(row, xq, side="right")
-                            for row in part] for part in u])
+        xy = _pairs_inplace(u, rho)
+        xy.sort(axis=2)  # in place: the block is the pipeline's buffer
+        counts = np.array([[np.searchsorted(sample, xq, side="right")
+                            for sample in pair] for pair in xy])
         return (counts / m_sample - grid.nodes) * math.sqrt(m_sample)
     return coupled
 
 
 def _mechanism(mechanism: str, grid: GridSpec, rho: float, seed: int,
                draws: range, m_sample: int):
-    """``(states, parts, width, diffs)`` of ``draws``: ``diffs`` maps a
-    ``(parts, rows, width)`` block of the states' uniforms (one row per draw)
-    to those draws' differences ``bx - by``, as consecutive strips of
-    rows, each a new array."""
+    """``(states, width, diffs)`` of ``draws``: ``diffs`` maps a ``(rows,
+    width)`` block of the states' uniforms (one row per draw) to those
+    draws' differences ``bx - by``, as consecutive strips of rows, each a
+    new array."""
     if mechanism == "gaussian_grid":
         LT = _cholesky_factor(grid, rho).T
 
         def gaussian(u: np.ndarray):
-            z = _normals_inplace(u[0])
-            return (z[s:e] @ LT for s, e in _row_strips(z.shape[0]))
-        return (_stream_states(seed, ("limit_gaussian",), draws), 1, grid.m,
+            z = _normals_inplace(u)
+            return (z[s:e] @ LT for s, e in _row_strips(len(z)))
+        return (_stream_states(seed, ("limit_gaussian",), draws), grid.m,
                 gaussian)
     m_sample = _m_sample(m_sample)
     coupled = _coupled_bridges(grid, rho, m_sample)
-    return (_stream_states(seed, ("limit_empirical",), draws), 2, m_sample,
-            lambda u: [np.subtract(*coupled(u))])
+    return (_stream_states(seed, ("limit_empirical",), draws), 2 * m_sample,
+            lambda u: [np.subtract(*coupled(u).swapaxes(0, 1))])
 
 
 def _gaussian_pairs(grid: GridSpec, rho: float, seed: int, draws: range):
@@ -473,7 +473,7 @@ def _gaussian_pairs(grid: GridSpec, rho: float, seed: int, draws: range):
     m = grid.m
     z = _normals_inplace(_keyed_uniforms(
         _stream_states(seed, ("limit_gaussian",), draws),
-        np.empty((1, len(draws), 2 * m)))[0])
+        np.empty((len(draws), 2 * m))))
     d = z[:, :m] @ _cholesky_factor(grid, rho).T
     s = z[:, m:] @ _sum_factor(grid, rho).T
     return (s + d) / 2.0, (s - d) / 2.0
@@ -507,8 +507,8 @@ def simulate_bridge_pair_coupled(grid: GridSpec, rho, m_sample: int,
     states = _stream_states(seed, ("limit_empirical",),
                             range(draw_index, draw_index + 1))
     bx, by = _coupled_bridges(grid, corr.rho, m_sample)(
-        _keyed_uniforms(states, np.empty((2, 1, m_sample))))
-    return BridgePair(grid=grid, bx=bx[0], by=by[0], rho=corr)
+        _keyed_uniforms(states, np.empty((1, 2 * m_sample))))[0]
+    return BridgePair(grid=grid, bx=bx, by=by, rho=corr)
 
 
 # --------------------------------------------------------------------------
@@ -636,11 +636,11 @@ def sample_limit_law(rho, grid: GridSpec, n_draws: int, mechanism: str,
             "(truncated means grow without bound as delta -> 0); pass "
             "divergence_demo=True to sample the truncated functional "
             "deliberately")
-    states, parts, width, diffs = _mechanism(mechanism, grid, corr.rho, seed,
-                                             range(n_draws), m_sample)
+    states, width, diffs = _mechanism(mechanism, grid, corr.rho, seed,
+                                      range(n_draws), m_sample)
     h = np.asarray(density_quantile_h(grid.nodes))
     values = _replicate(
-        states, parts, width,
+        states, width,
         lambda u: np.concatenate([_functional_rows(d, grid.nodes, h)
                                   for d in diffs(u)]), workers)
     return LimitSample(values=values, rho=corr, mechanism=mechanism,

@@ -10,16 +10,19 @@ construction; overlap between them is improbable, not impossible.  A
 replication's stream depends only on its own index — never on scheduling
 or worker count — so parallel runs are byte-reproducible.
 
-:func:`substream` defines a stream: numpy's ``SeedSequence`` hashes the
-key into three 64-bit words, which SFC64 runs through 12 warm-up rounds.
-Seeded replications need thousands of streams per run, so
+Every seeded draw takes its uniforms as one contiguous row of its stream:
+a replication of ``n`` correlated pairs reads ``2n`` uniforms, X's ``n``,
+then Z's ``n``, which are the words two ``uniforms_open(g, n)`` calls
+would read.  :func:`substream` defines a stream: numpy's ``SeedSequence``
+hashes the key into three 64-bit words, which SFC64 runs through 12
+warm-up rounds.  Seeded replications need thousands of streams per run, so
 :func:`_stream_states` does that hashing and warm-up for a whole range of
 replication indices in one vectorised pass, and :func:`_keyed_uniforms`
-sets one private ``SFC64``'s state per replication and fills each row
-straight from the generator, giving the same uniforms
-:func:`uniforms_open` draws from the same stream.  :func:`_replicate`, the
-one replication loop, hands blocks of them to a caller's ``finish`` (W2
-engine or limit law), which may overwrite the block in place.
+fills a ``(rows, width)`` block, one row per state, giving each row the
+uniforms :func:`uniforms_open` draws from the same stream.
+:func:`_replicate`, the one replication loop, hands blocks of them to a
+caller's ``finish`` (W2 engine or limit law), which may overwrite the
+block in place.
 
 Normal variates are produced by inverse-cdf transform of open-interval
 uniforms, so a single audited quantile path feeds all samplers, and
@@ -95,9 +98,9 @@ def _master_seed(master_seed) -> int:
     return seed
 
 
-def _key_ints(parts) -> tuple[int, ...]:
+def _key_ints(key) -> tuple[int, ...]:
     out = []
-    for p in parts:
+    for p in key:
         if isinstance(p, str):
             if p not in DOMAINS:
                 raise DomainError(f"unknown stream domain {p!r}")
@@ -202,61 +205,42 @@ def _stream_states(seed: int, key: tuple, reps: range) -> np.ndarray:
     return np.stack([a, b, c, w], axis=1)
 
 
-def _below_one(u: np.ndarray) -> np.ndarray:
-    """Clamp open uniforms at ``1 - 2^-53``, in place.
-
-    ``(k + 1/2) / 2^53`` rounds ties-to-even to exactly 1.0 at the one
-    ``k = 2^53 - 1`` (probability 2^-53 per value), where ``ndtri`` would
-    give ``+inf``; every other ``k`` already lies below 1 and is unchanged.
-    """
+def _open_inplace(u: np.ndarray) -> np.ndarray:
+    """Turn ``Generator.random``'s ``k 2^-53`` into the open uniform ``(k +
+    1/2) / 2^53``, in place: adding 2^-54 rounds the same real ``(2k + 1)
+    2^-54``.  That rounds to 1.0 at the one ``k = 2^53 - 1`` (probability
+    2^-53), where ``ndtri`` would give ``+inf``, so it is clamped at
+    ``1 - 2^-53``."""
+    u += _HALF_ULP
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def _open_unit(k: np.ndarray) -> np.ndarray:
-    """``(k + 1/2) / 2^53`` for 53-bit integers ``k``, clamped below 1.
-
-    The cast is exact below 2^53 and the scaling by 2^-53 is exact, so
-    the one rounding is that of ``k + 0.5``.
-    """
-    u = np.array(k, dtype=np.float64)
-    u += 0.5
-    u *= 2.0 ** -53
-    return _below_one(u)
-
-
 def uniforms_open(rng: np.random.Generator, size) -> np.ndarray:
-    """Uniforms strictly inside (0, 1): ``(k + 1/2) / 2^53`` on 53-bit k,
-    at most ``1 - 2^-53``."""
-    return _open_unit(rng.integers(0, 2 ** 53, size=size, dtype=np.int64))
+    """Uniforms strictly inside (0, 1): ``(k + 1/2) / 2^53`` for the top 53
+    bits ``k`` of each raw word, at most ``1 - 2^-53``; ``size=None`` gives
+    a 0-d array."""
+    return _open_inplace(np.asarray(rng.random(size)))
 
 
 def _keyed_uniforms(states: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out[:, r]`` from the SFC64 stream whose state is ``states[r]``.
+    """Fill row ``r`` of ``out``, a float64 ``(len(states), width)`` array
+    with contiguous rows, with ``uniforms_open(g, width)`` on the SFC64
+    stream whose state is ``states[r]``.
 
-    ``out`` is a float64 ``(parts, len(states), n)`` array whose rows are
-    contiguous.  Row ``r`` gets what ``parts`` calls of
-    ``uniforms_open(g, n)`` give on that stream.  ``integers(0, 2**53)``
-    turns each raw word ``w`` into ``k = w >> 11`` (Lemire's method never
-    rejects on a power-of-two range), and ``Generator.random`` writes
-    ``k * 2^-53`` from the same word, so each row is filled straight from
-    the generator and the block finished in one pass that adds 2^-54
-    (then :func:`_below_one`): ``k * 2^-53 + 2^-54`` rounds the same real
-    number ``(2k + 1) 2^-54`` that ``(k + 1/2) / 2^53`` rounds, so the bits
-    are equal.  One private SFC64 takes each row's state through its state
-    setter, with no buffered 32-bit half, as a freshly seeded one starts.
+    Each row is filled straight from the generator and the block made open
+    in one :func:`_open_inplace` pass.  One private SFC64 takes each row's
+    state through its state setter, with no buffered 32-bit half, as a
+    freshly seeded one starts.
     """
-    parts = out.shape[0]
     bits = np.random.SFC64(0)
     gen = np.random.Generator(bits)
     state = {"bit_generator": "SFC64", "state": {"state": None},
              "has_uint32": 0, "uinteger": 0}
-    for r, words in enumerate(states):
+    for row, words in zip(out, states):
         state["state"]["state"] = words
         bits.state = state
-        for p in range(parts):
-            gen.random(out=out[p, r])
-    out += _HALF_ULP
-    return _below_one(out)
+        gen.random(out=row)
+    return _open_inplace(out)
 
 
 def _normals_inplace(u: np.ndarray) -> np.ndarray:
@@ -289,32 +273,46 @@ def correlated_normal_pairs(rng: np.random.Generator, size, rho):
     return x, _correlate_inplace(x, z, rho)
 
 
+def _pairs_inplace(u: np.ndarray, rho: float) -> np.ndarray:
+    """Overwrite a contiguous ``(rows, 2w)`` block of open uniforms with
+    correlated normal pairs, returned as its ``(rows, 2, w)`` view.
+
+    Each row's first ``w`` uniforms become X (``[:, 0]``) and the next
+    ``w`` become Y (``[:, 1]``), as :func:`correlated_normal_pairs` makes
+    them from the same stream.
+    """
+    pairs = _normals_inplace(u).reshape(len(u), 2, -1)
+    _correlate_inplace(pairs[:, 0], pairs[:, 1], rho)
+    return pairs
+
+
 _BLOCK_VALUES = 2 ** 17  # float64 values drawn per block (1 MiB)
 
 
-def _block_rows(width: int, parts: int) -> int:
+def _block_rows(width: int) -> int:
     """Rows per block: ``_BLOCK_VALUES`` values, at least one row."""
-    return max(1, _BLOCK_VALUES // (width * parts))
+    return max(1, _BLOCK_VALUES // width)
 
 
-def _replicate(states: np.ndarray, parts: int, width: int, finish,
+def _replicate(states: np.ndarray, width: int, finish,
                workers: int) -> np.ndarray:
     """One value per stream state: ``finish(block)`` for each block of
     keyed uniforms.
 
-    Row ``r`` of a ``(parts, rows, width)`` block holds ``parts`` calls of
-    ``uniforms_open(g, width)`` on the stream of its state.  ``finish`` may
-    overwrite the block: its buffer is drawn into again only after
-    ``finish`` has returned, and the values it returns are copied out
-    before that.  Blocks hold about 2^17 numbers (1 MiB), their sizes
-    balanced to within one row: a block of a few rows could send a caller's
-    matrix product to another BLAS kernel, with other rounding.  The calling
-    thread draws each block (:func:`_keyed_uniforms`); ``finish`` runs
-    inline when ``workers == 1``.
-    Otherwise a pool of ``threads = min(workers - 1, number of blocks)``
-    threads finishes them: the calling thread submits each block it draws to
-    the pool while at most ``threads + 1`` blocks are pending there, and
-    otherwise finishes the block itself.  Before each draw it collects the
+    Row ``r`` of a ``(rows, width)`` block is ``uniforms_open(g, width)``
+    on the stream of its state: every uniform one draw uses, in the order
+    its stream gives them.  ``finish`` may overwrite the block: its buffer
+    is drawn into again only after ``finish`` has returned, and the values
+    it returns are copied out before that.  Blocks hold about 2^17 numbers
+    (1 MiB), their sizes balanced to within one row: a block of a few rows
+    could send a caller's matrix product to another BLAS kernel, with other
+    rounding.  The calling thread draws each block
+    (:func:`_keyed_uniforms`).  A pool of ``threads = min(workers - 1,
+    number of blocks)`` threads finishes them: the calling thread submits
+    each block it draws to the pool while at most ``threads + 1`` blocks are
+    pending there, and otherwise finishes the block itself.  With no pool threads (``workers == 1``) nothing is
+    submitted, no thread starts, and every block is finished inline in one
+    reused buffer.  Before each draw the calling thread collects the
     finished blocks at the head of the queue and keeps their buffers for
     reuse, so at most ``workers + 2`` block buffers exist.  Once every
     block is drawn, the calling thread finishes each pending block the pool
@@ -325,30 +323,25 @@ def _replicate(states: np.ndarray, parts: int, width: int, finish,
     has stopped.
     """
     count = len(states)
-    blocks = -(-count // _block_rows(width, parts))
+    blocks = -(-count // _block_rows(width))
     spans = [(count * b // blocks, count * (b + 1) // blocks)
              for b in range(blocks)]
-    shape = (parts, -(-count // blocks), width)
+    shape = (-(-count // blocks), width)
     out = np.empty(count)
 
     def draw(start: int, stop: int, buffer: np.ndarray) -> None:
-        _keyed_uniforms(states[start:stop], buffer[:, :stop - start])
+        _keyed_uniforms(states[start:stop], buffer[:stop - start])
 
     def run(start: int, stop: int, buffer: np.ndarray) -> None:
-        out[start:stop] = finish(buffer[:, :stop - start])
+        out[start:stop] = finish(buffer[:stop - start])
 
     threads = min(workers - 1, blocks)
-    if threads == 0:
-        buffer = np.empty(shape)
-        for span in spans:
-            draw(*span, buffer)
-            run(*span, buffer)
-        return out
-
     # submitted blocks with their spans and buffers, oldest first, and the
     # buffers of finished blocks: a reused buffer saves a page fault per 4 KiB
     pending, free = collections.deque(), []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # the executor starts its threads on the first submit, so an unused
+    # pool starts none
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
         try:
             for span in spans:
                 while pending and pending[0][0].done():
@@ -357,7 +350,7 @@ def _replicate(states: np.ndarray, parts: int, width: int, finish,
                     free.append(buffer)
                 buffer = free.pop() if free else np.empty(shape)
                 draw(*span, buffer)
-                if len(pending) <= threads + 1:
+                if threads and len(pending) <= threads + 1:
                     pending.append((pool.submit(run, *span, buffer), span,
                                     buffer))
                 else:

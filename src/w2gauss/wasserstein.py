@@ -64,9 +64,6 @@ __all__ = [
     "expected_one_sample_w2sq",
 ]
 
-STANDARD = None  # sentinel replaced below once GaussianReference exists
-
-
 @dataclasses.dataclass(frozen=True)
 class GaussianReference:
     """A Gaussian reference law N(mu, sigma^2) with sigma > 0."""
@@ -170,20 +167,23 @@ class W2Decomposition:
 # antiderivative tables
 # --------------------------------------------------------------------------
 
-def _antiderivatives(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``h(q)`` and ``A2(q) = q - Phi^{-1}(q) h(q)`` at lower-tail
-    probabilities ``q`` in ``[0, 1/2]``, with exact zeros at ``q = 0``.
+def _endpoint_antiderivatives(*u: float) -> tuple[np.ndarray, np.ndarray]:
+    """``h(u)`` and ``A2(u) = u - Phi^{-1}(u) h(u)`` at points ``u`` in
+    ``[0, 1]``, with exact zeros of ``h`` at 0 and 1.
 
-    This is the one evaluator of both antiderivatives.  Callers mirror
-    the upper half themselves (``h(1-q) = h(q)``, ``A2(1-q) = 1 - A2(q)``),
-    so the symmetries are exact in floating point.
+    This is the one evaluator of both antiderivatives.  It works at the
+    lower-tail probability ``q = min(u, 1-u)`` and mirrors the upper half
+    (``h(1-q) = h(q)``, ``A2(1-q) = 1 - A2(q)``), so the symmetries are
+    exact in floating point.
     """
+    u = np.array(u)
+    q = np.minimum(u, 1.0 - u)
     interior = q > 0
     x = np.zeros(q.shape)
     x[interior] = ndtri(q[interior])
     H = np.where(interior, np.exp(-0.5 * x * x) / _SQRT_2PI, 0.0)
     A2 = np.where(interior, q - x * H, 0.0)
-    return H, A2
+    return H, np.where(u > 0.5, 1.0 - A2, A2)
 
 
 # 8-point Gauss-Legendre rule on [-1, 1]: the nonnegative nodes and weights
@@ -285,13 +285,6 @@ def _cell_tables(n: int) -> tuple[np.ndarray, np.ndarray, float]:
 # ``perfbench`` reads ``_boundary_tables.cache_info()`` in every benchmark
 # call and traces it as the ``wasserstein.tables`` span: keep the name.
 _boundary_tables = _cell_tables
-
-
-def _endpoint_antiderivatives(*u: float) -> tuple[np.ndarray, np.ndarray]:
-    """``h`` and ``A2`` at points ``u`` in ``[0, 1]``, mirrored about 1/2."""
-    u = np.array(u)
-    H, A2_low = _antiderivatives(np.minimum(u, 1.0 - u))
-    return H, np.where(u > 0.5, 1.0 - A2_low, A2_low)
 
 
 # --------------------------------------------------------------------------

@@ -197,7 +197,7 @@ def _loop_w2sq(seed, domain, n, reps, rho=None):
 def test_replicate_w2sq_matches_per_replication_loop(monkeypatch, rho,
                                                      block_values, n):
     monkeypatch.setattr(streams, "_BLOCK_VALUES", block_values)
-    rows = streams._block_rows(n, 1 if rho is None else 2)
+    rows = streams._block_rows(n if rho is None else 2 * n)
     if n >= 1500:
         assert rows == 1
     for reps in sorted({1, rows - 1, rows + 1} - {0}):
@@ -277,7 +277,7 @@ def test_replicate_w2sq_caller_finishes_when_pool_lags(monkeypatch, rho):
         experiments._w2sq_rows, events, "finish", slow_on="pool"))
     n, reps = 64, 100
     got = replicate_w2sq(77, "two_sample", n, reps, rho=rho, workers=2)
-    blocks = -(-reps // streams._block_rows(n, 1 if rho is None else 2))
+    blocks = -(-reps // streams._block_rows(n if rho is None else 2 * n))
     assert events.count(("draw", "main")) == blocks
     assert sum(label == "finish" for label, _ in events) == blocks
     last_draw = len(events) - 1 - events[::-1].index(("draw", "main"))
@@ -324,7 +324,7 @@ def test_replicate_w2sq_caller_finishes_the_tail(monkeypatch):
         streams._keyed_uniforms, events, "draw"))
     monkeypatch.setattr(experiments, "_w2sq_rows", _traced(
         experiments._w2sq_rows, events, "finish", slow_on="pool"))
-    assert streams._block_rows(64, 1) == 16
+    assert streams._block_rows(64) == 16
     got = replicate_w2sq(13, "generic", 64, 48, workers=2)
     assert events.count(("draw", "main")) == 3
     last_draw = len(events) - 1 - events[::-1].index(("draw", "main"))
@@ -349,7 +349,7 @@ def test_replicate_w2sq_stops_drawing_after_a_failed_block(monkeypatch):
         return res
 
     monkeypatch.setattr(streams, "ndtri", nan_ndtri)
-    assert -(-1000 // streams._block_rows(64, 1)) == 63
+    assert -(-1000 // streams._block_rows(64)) == 63
     with pytest.raises(DomainError, match="finite"):
         replicate_w2sq(5, "generic", 64, 1000, workers=2)
     assert events.count(("draw", "main")) <= 4
@@ -394,9 +394,20 @@ def test_replicate_w2sq_bounds_its_threads(monkeypatch):
     before = threading.active_count()
     replicate_w2sq(5, "generic", 16, 1, workers=8)     # one block
     replicate_w2sq(5, "generic", 16, 12, workers=8)    # three blocks
-    replicate_w2sq(5, "generic", 16, 12, workers=1)    # no pool
     assert pool_sizes == [1, 3]
     assert max(peak_threads) <= before + 3
+    # no pool threads: nothing is submitted and no thread starts
+    peak_threads.clear()
+    counts = []
+    w2sq_rows = experiments._w2sq_rows
+
+    def counting(*args):
+        counts.append(threading.active_count())
+        return w2sq_rows(*args)
+
+    monkeypatch.setattr(experiments, "_w2sq_rows", counting)
+    replicate_w2sq(5, "generic", 16, 12, workers=1)    # three blocks
+    assert not peak_threads and counts == [before] * 3
 
 
 def test_replicate_w2sq_validation():
@@ -414,12 +425,16 @@ def test_replicate_w2sq_validation():
 @pytest.mark.parametrize("args, csv_name", [
     (["one-sample", "--n", "100000", "--reps", "2", "--seed", "7"],
      "one_sample.csv"),
+    # correlated pairs, one 2000-wide row each, in three blocks and a pool
+    (["two-sample", "--rho", "0.6", "--n", "1000", "--reps", "150",
+      "--workers", "2", "--seed", "7"], "two_sample.csv"),
     (["limit-compare", "--rho", "0.6", "--m", "64", "--n", "2000",
       "--reps", "60", "--delta", "1e-3", "--seed", "34"], "limit.csv"),
     # a K_D factor of two panels, and the 200 draws in two row strips
     (["limit-compare", "--rho", "0.6", "--m", "160", "--n", "2000",
       "--reps", "200", "--delta", "1e-3", "--seed", "34"], "limit.csv"),
-], ids=["one_sample", "limit_compare", "limit_compare_two_panels"])
+], ids=["one_sample", "two_sample", "limit_compare",
+        "limit_compare_two_panels"])
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, args, csv_name):
     src = os.path.dirname(os.path.dirname(experiments.__file__))
     bodies = []

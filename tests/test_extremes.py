@@ -132,6 +132,23 @@ def test_sample_extreme_domain():
         MomentEstimate(mean=0.0, se_mean=-1.0, variance=1.0, count=10)
 
 
+@pytest.mark.parametrize("fn, args, at", [
+    (harmonic_sums, (2,), 0), (extreme_mean, (100, 2), 0),
+    (extreme_mean, (100, 2), 1), (sample_extreme, (1000, 0, 1000, 1), 0),
+    (sample_extreme, (1000, 1, 1000, 1), 1),
+    (sample_extreme, (1000, 0, 1000, 1), 2)])
+def test_integer_arguments(fn, args, at):
+    # an integral float is that integer; a fraction or a bool is refused,
+    # not truncated to another integer's result
+    def with_arg(value):
+        return (*args[:at], value, *args[at + 1:])
+
+    assert fn(*with_arg(float(args[at]))) == fn(*args)
+    for bad in (args[at] + 0.5, True):
+        with pytest.raises(DomainError, match="integer"):
+            fn(*with_arg(bad))
+
+
 def test_order_stat_cdf_vs_binomial_sum():
     # P(Z_{n-k} <= x) = sum_{j<=k} C(n,j) q^j p^{n-j}, p = Phi(x)
     rng = np.random.default_rng(3)

@@ -29,9 +29,9 @@ from w2gauss.streams import (_keyed_uniforms, correlated_normal_pairs,
 def _gaussian_rows(grid, rho, seed, draws):
     """Difference rows ``bx - by`` of ``sample_limit_law``'s Gaussian
     draws."""
-    keys, parts, width, diffs = limitlaw._mechanism(
+    keys, width, diffs = limitlaw._mechanism(
         "gaussian_grid", grid, rho, seed, draws, None)
-    u = _keyed_uniforms(keys, np.empty((parts, len(draws), width)))
+    u = _keyed_uniforms(keys, np.empty((len(draws), width)))
     return np.vstack(list(diffs(u)))
 
 
@@ -97,6 +97,16 @@ def test_grid_rejections():
     with pytest.raises(DomainError):
         GridSpec(m=16, delta=1e-3,
                  nodes=np.linspace(0.5, 1e-3, 16))   # decreasing
+
+
+def test_grid_size_is_an_integer():
+    # an integral float is that size; a fraction is refused, not truncated
+    grid = build_grid(512.0, 1e-3)
+    assert type(grid.m) is int
+    assert grid.nodes.tobytes() == build_grid(512, 1e-3).nodes.tobytes()
+    for bad in (16.5, True):
+        with pytest.raises(DomainError, match="integer"):
+            build_grid(bad, 1e-3)
 
 
 # --------------------------------------------------------------------------
@@ -649,14 +659,14 @@ def _per_draw_loop(rho, grid, n_draws, mechanism, seed, m_sample):
         grid, rho, seed, j, m_sample)), grid) for j in range(n_draws)])
 
 
-@pytest.mark.parametrize("mechanism, rows, parts, width", [
+@pytest.mark.parametrize("mechanism, rows, samples, width", [
     # 16 rows of m = 512 normals; 3 rows of 2 x 10^4 coupled normals
     ("gaussian_grid", 16, 1, 512), ("empirical_coupling", 3, 2, 10 ** 4)])
 def test_sample_limit_law_matches_per_draw_loop(monkeypatch, mechanism, rows,
-                                                parts, width):
+                                                samples, width):
     grid = build_grid(512 if mechanism == "gaussian_grid" else 256, 1e-4)
-    monkeypatch.setattr(streams, "_BLOCK_VALUES", rows * parts * width)
-    assert streams._block_rows(width, parts) == rows
+    monkeypatch.setattr(streams, "_BLOCK_VALUES", rows * samples * width)
+    assert streams._block_rows(samples * width) == rows
     for n_draws in (rows - 1, rows, rows + 1):
         want = _per_draw_loop(0.95, grid, n_draws, mechanism, 31, 10 ** 4)
         for workers in (1, 2, 3):

@@ -10,7 +10,14 @@ from scipy import stats
 from w2gauss import (Correlation, DOMAINS, DomainError,
                      correlated_normal_pairs, standard_normals, substream,
                      uniforms_open)
-from w2gauss import streams
+from w2gauss import experiments, streams
+
+
+def _open_oracle(rng, size):
+    """``(integers(0, 2^53) + 1/2) / 2^53``, clamped below 1: the open
+    uniforms of ``rng``, made from its integers."""
+    k = rng.integers(0, 2 ** 53, size=size, dtype=np.int64)
+    return np.minimum((k + 0.5) / 2 ** 53, 1.0 - 2.0 ** -53)
 
 
 def test_domain_codes_are_distinct_and_stable():
@@ -91,16 +98,43 @@ def test_stream_states_validation():
             streams._stream_states(*args)
 
 
-@pytest.mark.parametrize("parts, n", [(1, 1), (1, 1000), (2, 7), (2, 300)])
-def test_keyed_uniforms_match_uniforms_open(parts, n):
+@pytest.mark.parametrize("calls, n", [(1, 1), (1, 1000), (2, 7), (2, 300)])
+def test_keyed_uniforms_match_uniforms_open(calls, n):
+    # a row of calls * n uniforms is that many uniforms_open(g, n) calls
     reps = range(3, 9)
-    out = np.empty((parts, len(reps), n))
+    out = np.empty((len(reps), calls * n))
     streams._keyed_uniforms(
         streams._stream_states(42, ("two_sample", n), reps), out)
-    for r, rep in enumerate(reps):
+    for row, rep in zip(out, reps):
         g = substream(42, "two_sample", n, rep)
-        for part in out:
-            assert part[r].tobytes() == uniforms_open(g, n).tobytes()
+        want = np.concatenate([uniforms_open(g, n) for _ in range(calls)])
+        assert row.tobytes() == want.tobytes()
+        oracle = _open_oracle(substream(42, "two_sample", n, rep), calls * n)
+        assert row.tobytes() == oracle.tobytes()
+
+
+def test_pair_replication_reads_one_row_of_its_stream(monkeypatch):
+    # a correlated-pair replication's 2n uniforms are uniforms_open(g, 2n)
+    # on its substream: X's n, then Z's n, as two uniforms_open(g, n) calls
+    monkeypatch.setattr(streams, "_BLOCK_VALUES", 64)  # 4 rows at n = 8
+    blocks = []
+
+    def recording(u, rho):
+        blocks.append(u.copy())
+        return streams._pairs_inplace(u, rho)
+
+    monkeypatch.setattr(experiments, "_pairs_inplace", recording)
+    n, reps = 8, 10
+    experiments.replicate_w2sq(3, "two_sample", n, reps, rho=0.5)
+    rows = np.concatenate(blocks)
+    assert len(blocks) == 3 and rows.shape == (reps, 2 * n)
+    for rep, row in enumerate(rows):
+        g = substream(3, "two_sample", n, rep)
+        assert row.tobytes() == uniforms_open(g, 2 * n).tobytes()
+        g = substream(3, "two_sample", n, rep)
+        x, z = uniforms_open(g, n), uniforms_open(g, n)
+        assert row[:n].tobytes() == x.tobytes()
+        assert row[n:].tobytes() == z.tobytes()
 
 
 def test_keyed_uniforms_high_key_words_into_reused_buffer():
@@ -111,36 +145,29 @@ def test_keyed_uniforms_high_key_words_into_reused_buffer():
                        [2 ** 63, 0, 2 ** 64 - 1, 13],
                        [12345, 2 ** 64 - 2, 2 ** 63, 2 ** 64 - 1]],
                       dtype=np.uint64)
-    for parts in (1, 2):
-        buffer = np.full((parts, len(states) + 2, 257), np.nan)
-        out = buffer[:, :len(states)]
-        assert streams._keyed_uniforms(states, out) is out
-        for r, words in enumerate(states.tolist()):
-            bits = np.random.SFC64(0)
-            bits.state = {"bit_generator": "SFC64",
-                          "state": {"state": words},
-                          "has_uint32": 0, "uinteger": 0}
-            g = np.random.Generator(bits)
-            for part in out:
-                assert part[r].tobytes() == uniforms_open(g, 257).tobytes()
-        assert np.isnan(buffer[:, len(states):]).all()
+    buffer = np.full((len(states) + 2, 257), np.nan)
+    out = buffer[:len(states)]
+    assert streams._keyed_uniforms(states, out) is out
+    for row, words in zip(out, states.tolist()):
+        bits = np.random.SFC64(0)
+        bits.state = {"bit_generator": "SFC64", "state": {"state": words},
+                      "has_uint32": 0, "uinteger": 0}
+        assert row.tobytes() == _open_oracle(
+            np.random.Generator(bits), 257).tobytes()
+    assert np.isnan(buffer[len(states):]).all()
 
 
 def test_open_unit_conversion_at_lattice_edges():
-    # (k + 1/2) / 2^53 rounds ties-to-even to 1.0 at k = 2^53 - 1; both the
-    # integer path of uniforms_open and the keyed fill (k 2^-53 from
-    # Generator.random, plus 2^-54) clamp that one value at 1 - 2^-53
+    # (k + 1/2) / 2^53 rounds ties-to-even to 1.0 at k = 2^53 - 1; the one
+    # conversion (k 2^-53 from Generator.random, plus 2^-54) clamps that
+    # value at 1 - 2^-53 and gives every other k exactly (k + 1/2) / 2^53
     ks = np.array([0, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 2,
                    2 ** 53 - 1], dtype=np.int64)
-    former = (ks + 0.5) / 2 ** 53
-    u = streams._open_unit(ks)
-    keyed = ks * 2.0 ** -53
-    keyed += streams._HALF_ULP
-    streams._below_one(keyed)
-    assert keyed.tobytes() == u.tobytes()
+    want = (ks + 0.5) / 2 ** 53
+    u = streams._open_inplace(ks * 2.0 ** -53)
     assert (u > 0.0).all() and (u < 1.0).all()
-    assert u[:-1].tobytes() == former[:-1].tobytes()
-    assert former[-1] == 1.0
+    assert u[:-1].tobytes() == want[:-1].tobytes()
+    assert want[-1] == 1.0
     assert u[-1] == 1.0 - 2.0 ** -53
 
 
@@ -155,6 +182,12 @@ def test_uniforms_open_strictly_interior():
     # uniform on (0,1): mean 1/2 within 4 standard errors
     se = 1.0 / math.sqrt(12 * len(u))
     assert abs(u.mean() - 0.5) < 4 * se
+    # an int, a tuple or None (a 0-d array) gives the oracle's shape and bits
+    for size in (5, (2, 3), None):
+        got = uniforms_open(substream(7, "generic", 1), size)
+        want = _open_oracle(substream(7, "generic", 1), size)
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(want)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_standard_normals_distribution():
