@@ -206,6 +206,7 @@ def order_stat_cdf(x, n: int, k: int):
     Expressed through the regularized incomplete Beta function (the
     binomial upper-tail identity); used to validate the Beta sampler.
     """
+    n, k = _integer("n", n), _integer("k", k)
     if n < 1 or k < 0 or k > n - 1:
         raise DomainError(f"need 1 <= k+1 <= n, got n={n}, k={k}")
     p = np.asarray(std_normal_cdf(x), dtype=float)

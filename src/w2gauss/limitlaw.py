@@ -45,8 +45,9 @@ from .integrals import DELTA_FLOOR, truncated_second_moment
 # _bvnu_scalar is unused here but stays bound: perfbench/tracer.py rebinds it
 from .special import (Correlation, _bvnu_scalar, _bvnu_vec, as_correlation,
                       copula_diagonal_gap, density_quantile_h)
-from .streams import (_integer, _keyed_uniforms, _normals_inplace,
-                      _pairs_inplace, _replicate, _stream_states)
+from .streams import (_balanced_spans, _integer, _keyed_uniforms,
+                      _normals_inplace, _pairs_inplace, _replicate,
+                      _stream_states)
 
 __all__ = [
     "GridSpec",
@@ -73,7 +74,7 @@ _JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9)
 _JITTER_QUIET = 1e-12
 # K_D pairs per _bvnu_vec call: bounds the quadrature's temporaries
 _COPULA_CHUNK = 4096
-# columns per panel and per trailing-update strip of the blocked Cholesky
+# most rows per matrix product of the Gaussian mechanism's row strips
 _PANEL = 128
 
 
@@ -98,6 +99,8 @@ class GridSpec:
         arr = np.asarray(self.nodes, dtype=float)
         if arr.shape != (self.m,):
             raise DomainError("nodes must be a length-m vector")
+        if not np.all((arr > 0.0) & (arr < 1.0)):
+            raise DomainError("nodes must lie strictly inside (0, 1)")
         if np.any(np.diff(arr) <= 0.0):
             raise DomainError("nodes must be strictly increasing")
         if arr[0] < self.delta * (1.0 - 1e-12) or \
@@ -191,15 +194,18 @@ def build_grid(m: int, delta: float) -> GridSpec:
     ``u = exp(-exp(t))`` (and its mirror) for ``t`` equally spaced from
     ``log log (1/delta)`` down toward ``log log 3``; the middle third is
     uniform on ``[1/3, 2/3]``.  The upper half is the exact floating-point
-    mirror of the lower half, so ``u`` and ``1-u`` appear in pairs.
+    mirror of the lower half, so ``u`` and ``1-u`` appear in pairs; that
+    needs ``1 - delta < 1`` in floating point (``delta`` above about
+    5.6e-17).
     """
     m = _integer("m", m)
     if m < 16:
         raise DomainError(f"grid size m >= 16 required, got {m}")
     if not (0.0 < delta < 0.25):
         raise DomainError(f"delta must lie in (0, 1/4), got {delta!r}")
-    if delta < DELTA_FLOOR:
-        raise DomainError(f"delta below resolvable floor {DELTA_FLOOR:g}")
+    if 1.0 - delta == 1.0:
+        raise DomainError(f"delta = {delta!r} has no mirror node below 1: "
+                          f"1 - delta rounds to 1")
     n_end = m // 3
     k_mid = m - 2 * n_end
     t = np.linspace(math.log(math.log(1.0 / delta)), math.log(math.log(3.0)),
@@ -302,66 +308,35 @@ def _sum_covariance(nodes: np.ndarray, rho: float) -> np.ndarray:
 _factor_cache: dict = {}
 
 
-def _strips(n: int, start: int = 0):
-    """``(start, stop)`` of each ``_PANEL``-column strip from ``start`` to
-    ``n``."""
-    return ((s, min(s + _PANEL, n)) for s in range(start, n, _PANEL))
-
-
-def _row_strips(rows: int) -> list:
-    """``(start, stop)`` of strips of at most ``_PANEL`` rows covering
-    ``rows``, their sizes balanced to within one row: a strip of a few rows
-    could send its matrix product to another BLAS kernel, with other
-    rounding."""
-    k = -(-rows // _PANEL)
-    return [(rows * s // k, rows * (s + 1) // k) for s in range(k)]
-
-
 def _cholesky_inplace(a: np.ndarray) -> bool:
     """Overwrite the lower triangle of symmetric ``a`` with its Cholesky
     factor; ``False`` at the first pivot that is not ``> 0``.
 
-    Right-looking blocked Cholesky (Golub & Van Loan, *Matrix
-    Computations*, 4.2) on ``_PANEL``-column panels, built on matrix
-    products only, so its bytes do not depend on the BLAS thread count.
-    Until it succeeds the strict upper triangle is never written, so after
-    a failure it still holds the input's off-diagonal entries; a success
-    zeroes it.
+    Left-looking column (gaxpy) Cholesky, Golub & Van Loan, *Matrix
+    Computations*, Alg. 4.2.1: column ``j`` takes one matrix-vector
+    product with the factor's first ``j`` columns, so its bytes do not
+    depend on the BLAS thread count.  Until it succeeds the strict upper
+    triangle is never written, so after a failure it still holds the
+    input's off-diagonal entries; a success zeroes it.
     """
     n = a.shape[0]
-    lower = np.tri(_PANEL, dtype=bool)
-    for s, e in _strips(n):
-        for j in range(s, e):
-            col = a[j:, j]
-            if j > s:
-                col -= a[j:, s:j] @ a[j, s:j]
-            pivot = col[0]
-            if not pivot > 0.0:
-                return False
-            col[0] = math.sqrt(pivot)
-            col[1:] /= col[0]
-        panel = a[:, s:e]
-        for t, te in _strips(n, e):
-            # the copied right factor makes this a gemm, never a syrk
-            update = panel[t:] @ panel[t:te].T.copy()
-            w = te - t
-            np.subtract(a[t:te, t:te], update[:w], out=a[t:te, t:te],
-                        where=lower[:w, :w])
-            a[te:, t:te] -= update[w:]
-    for s, e in _strips(n):
-        a[:s, s:e] = 0.0
-        np.copyto(a[s:e, s:e], 0.0, where=~lower[:e - s, :e - s])
+    for j in range(n):
+        col = a[j:, j]
+        col -= a[j:, :j] @ a[j, :j]
+        pivot = col[0]
+        if not pivot > 0.0:
+            return False
+        col[0] = math.sqrt(pivot)
+        col[1:] /= col[0]
+    for i in range(n - 1):
+        a[i, i + 1:] = 0.0
     return True
 
 
 def _restore_lower(a: np.ndarray) -> None:
     """Mirror the strict upper triangle of ``a`` onto its strict lower one."""
-    n = a.shape[0]
-    strict = np.tri(_PANEL, k=-1, dtype=bool)
-    for s, e in _strips(n):
-        a[e:, s:e] = a[s:e, e:].T
-        np.copyto(a[s:e, s:e], a[s:e, s:e].T.copy(),
-                  where=strict[:e - s, :e - s])
+    for j in range(a.shape[0] - 1):
+        a[j + 1:, j] = a[j, j + 1:]
 
 
 def _factor_inplace(cov: np.ndarray, name: str, grid: GridSpec,
@@ -454,7 +429,7 @@ def _mechanism(mechanism: str, grid: GridSpec, rho: float, seed: int,
 
         def gaussian(u: np.ndarray):
             z = _normals_inplace(u)
-            return (z[s:e] @ LT for s, e in _row_strips(len(z)))
+            return (z[s:e] @ LT for s, e in _balanced_spans(len(z), _PANEL))
         return (_stream_states(seed, ("limit_gaussian",), draws), grid.m,
                 gaussian)
     m_sample = _m_sample(m_sample)

@@ -294,6 +294,15 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_VALUES // width)
 
 
+def _balanced_spans(count: int, most: int) -> list:
+    """``(start, stop)`` of the ``ceil(count / most)`` spans covering
+    ``range(count)``, their sizes balanced to within one: a span of a few
+    rows could send a caller's matrix product to another BLAS kernel, with
+    other rounding."""
+    k = -(-count // most)
+    return [(count * s // k, count * (s + 1) // k) for s in range(k)]
+
+
 def _replicate(states: np.ndarray, width: int, finish,
                workers: int) -> np.ndarray:
     """One value per stream state: ``finish(block)`` for each block of
@@ -304,9 +313,8 @@ def _replicate(states: np.ndarray, width: int, finish,
     its stream gives them.  ``finish`` may overwrite the block: its buffer
     is drawn into again only after ``finish`` has returned, and the values
     it returns are copied out before that.  Blocks hold about 2^17 numbers
-    (1 MiB), their sizes balanced to within one row: a block of a few rows
-    could send a caller's matrix product to another BLAS kernel, with other
-    rounding.  The calling thread draws each block
+    (1 MiB), their sizes balanced to within one row
+    (:func:`_balanced_spans`).  The calling thread draws each block
     (:func:`_keyed_uniforms`).  A pool of ``threads = min(workers - 1,
     number of blocks)`` threads finishes them: the calling thread submits
     each block it draws to the pool while at most ``threads + 1`` blocks are
@@ -323,10 +331,8 @@ def _replicate(states: np.ndarray, width: int, finish,
     has stopped.
     """
     count = len(states)
-    blocks = -(-count // _block_rows(width))
-    spans = [(count * b // blocks, count * (b + 1) // blocks)
-             for b in range(blocks)]
-    shape = (-(-count // blocks), width)
+    spans = _balanced_spans(count, _block_rows(width))
+    shape = (-(-count // len(spans)), width)
     out = np.empty(count)
 
     def draw(start: int, stop: int, buffer: np.ndarray) -> None:
@@ -335,7 +341,7 @@ def _replicate(states: np.ndarray, width: int, finish,
     def run(start: int, stop: int, buffer: np.ndarray) -> None:
         out[start:stop] = finish(buffer[:stop - start])
 
-    threads = min(workers - 1, blocks)
+    threads = min(workers - 1, len(spans))
     # submitted blocks with their spans and buffers, oldest first, and the
     # buffers of finished blocks: a reused buffer saves a page fault per 4 KiB
     pending, free = collections.deque(), []

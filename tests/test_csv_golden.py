@@ -13,8 +13,8 @@ nothing, and kept theirs.
 
 None of these CSV bytes depends on the number of OpenBLAS threads (see
 ``test_csv_bytes_do_not_depend_on_blas_threads``): the limit-law Cholesky
-factor and its draws are built from matrix products alone, whose bytes do
-not move with the thread count.
+factor and its draws are built from matrix-vector and matrix products,
+whose bytes do not move with the thread count.
 """
 
 import hashlib
@@ -54,6 +54,15 @@ CASES = {
          "fb70efdcdee3da6cd2ec25861f31a264d54456094fab7a8aa72eadc894272b48",
          "ks.csv":
          "c91a3998caab4d32b891ffd281841e8f6c46e5ddbef2c53a87649edb9dfa15bf"}),
+    # m = 160 pins the K_D factor's bytes past 128 columns, which the m = 64
+    # case above cannot see
+    "limit_compare_m160": (
+        dict(experiment="limit_compare", seed=34, ns=(2000,), reps=200,
+             rho=0.6, m=160, delta=1e-3),
+        {"limit.csv":
+         "30e9bbb488e9898fbf3346133bc3c77f40c6cec49423cc97a6fcdfa6b25bd81d",
+         "ks.csv":
+         "fa0894943e55fa9cc8a7ce3da18e7832e6196d7cb02b8fbc67f3f7dd42126bff"}),
 }
 
 

@@ -430,7 +430,8 @@ def test_replicate_w2sq_validation():
       "--workers", "2", "--seed", "7"], "two_sample.csv"),
     (["limit-compare", "--rho", "0.6", "--m", "64", "--n", "2000",
       "--reps", "60", "--delta", "1e-3", "--seed", "34"], "limit.csv"),
-    # a K_D factor of two panels, and the 200 draws in two row strips
+    # a K_D factor of more than 128 columns, and the 200 draws in two row
+    # strips
     (["limit-compare", "--rho", "0.6", "--m", "160", "--n", "2000",
       "--reps", "200", "--delta", "1e-3", "--seed", "34"], "limit.csv"),
 ], ids=["one_sample", "two_sample", "limit_compare",

@@ -136,7 +136,8 @@ def test_sample_extreme_domain():
     (harmonic_sums, (2,), 0), (extreme_mean, (100, 2), 0),
     (extreme_mean, (100, 2), 1), (sample_extreme, (1000, 0, 1000, 1), 0),
     (sample_extreme, (1000, 1, 1000, 1), 1),
-    (sample_extreme, (1000, 0, 1000, 1), 2)])
+    (sample_extreme, (1000, 0, 1000, 1), 2),
+    (order_stat_cdf, (2.0, 100, 2), 1), (order_stat_cdf, (2.0, 100, 2), 2)])
 def test_integer_arguments(fn, args, at):
     # an integral float is that integer; a fraction or a bool is refused,
     # not truncated to another integer's result

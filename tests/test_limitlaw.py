@@ -22,8 +22,9 @@ from w2gauss import (BridgePair, Correlation, CovarianceError, DomainError,
                      truncation_bias)
 from w2gauss import limitlaw, streams
 from w2gauss.special import _bvnu_vec
-from w2gauss.streams import (_keyed_uniforms, correlated_normal_pairs,
-                             standard_normals, substream)
+from w2gauss.streams import (_balanced_spans, _keyed_uniforms,
+                             correlated_normal_pairs, standard_normals,
+                             substream)
 
 
 def _gaussian_rows(grid, rho, seed, draws):
@@ -97,6 +98,13 @@ def test_grid_rejections():
     with pytest.raises(DomainError):
         GridSpec(m=16, delta=1e-3,
                  nodes=np.linspace(0.5, 1e-3, 16))   # decreasing
+    # 1 - delta rounds to 1: the mirrored nodes would reach 1.0
+    for m, delta in ((16, 1e-30), (64, 1e-19), (64, 1e-20)):
+        with pytest.raises(DomainError, match="delta"):
+            build_grid(m, delta)
+    assert build_grid(256, 1e-16).nodes[-1] < 1.0
+    with pytest.raises(DomainError, match=r"inside \(0, 1\)"):
+        GridSpec(m=16, delta=1e-20, nodes=np.linspace(1e-20, 1.0, 16))
 
 
 def test_grid_size_is_an_integer():
@@ -317,31 +325,30 @@ def test_weighted_difference_eigenvalues(rho):
 
 
 def _factored(a):
-    """``a`` after the blocked Cholesky, which must succeed."""
+    """``a`` after the column Cholesky, which must succeed."""
     assert limitlaw._cholesky_inplace(a)
     return a
 
 
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(16, 96), rho=st.floats(-0.95, 0.95),
-       delta=st.floats(1e-6, 1e-2), panel=st.sampled_from([7, 32, 128]))
-@example(m=96, rho=0.95, delta=1e-6, panel=128)
-def test_blocked_cholesky_property(m, rho, delta, panel):
+       delta=st.floats(1e-6, 1e-2))
+@example(m=96, rho=0.95, delta=1e-6)
+@example(m=200, rho=0.95, delta=1e-6)
+def test_cholesky_property(m, rho, delta):
     grid = build_grid(m, delta)
     for cov in (limitlaw._difference_covariance(grid.nodes, rho),
                 limitlaw._sum_covariance(grid.nodes, rho)):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(limitlaw, "_PANEL", panel)
-            L = _factored(cov.copy())
-            assert not np.triu(L, 1).any() and np.all(np.diag(L) > 0.0)
-            assert np.abs(L - np.linalg.cholesky(cov)).max() <= 1e-13
-            # flip the least eigenvalue: the factor must refuse, not raise,
-            # and leave the strict upper triangle for the ladder to restore
-            lam, vec = np.linalg.eigh(cov)
-            bad = cov - 2.0 * lam[0] * np.outer(vec[:, 0], vec[:, 0])
-            a = bad.copy()
-            assert limitlaw._cholesky_inplace(a) is False
-            assert np.triu(a, 1).tobytes() == np.triu(bad, 1).tobytes()
+        L = _factored(cov.copy())
+        assert not np.triu(L, 1).any() and np.all(np.diag(L) > 0.0)
+        assert np.abs(L - np.linalg.cholesky(cov)).max() <= 1e-13
+        # flip the least eigenvalue: the factor must refuse, not raise, and
+        # leave the strict upper triangle for the ladder to restore
+        lam, vec = np.linalg.eigh(cov)
+        bad = cov - 2.0 * lam[0] * np.outer(vec[:, 0], vec[:, 0])
+        a = bad.copy()
+        assert limitlaw._cholesky_inplace(a) is False
+        assert np.triu(a, 1).tobytes() == np.triu(bad, 1).tobytes()
 
 
 @pytest.mark.parametrize("chunk", [7, 64 * 65 // 2 + 1])
@@ -390,8 +397,6 @@ def test_cholesky_jitter_ladder(monkeypatch, failures):
 
     monkeypatch.setattr(limitlaw, "_factor_cache", {})
     monkeypatch.setattr(limitlaw, "_cholesky_inplace", flaky)
-    # panels narrower than the 64 columns, so failures span several strips
-    monkeypatch.setattr(limitlaw, "_PANEL", 24)
     rungs = limitlaw._JITTERS
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -686,7 +691,8 @@ def test_single_coupled_draw_matches_per_draw_loop():
 
 @pytest.mark.parametrize("rows", [1, 2, 5, 17, 128, 129, 300])
 def test_row_strips_are_balanced(rows):
-    strips = limitlaw._row_strips(rows)
+    strips = _balanced_spans(rows, limitlaw._PANEL)
+    assert len(strips) == -(-rows // limitlaw._PANEL)
     assert strips[0][0] == 0 and strips[-1][1] == rows
     assert all(a[1] == b[0] for a, b in zip(strips, strips[1:]))
     sizes = [e - s for s, e in strips]
@@ -701,7 +707,7 @@ def test_gaussian_row_strips_keep_bytes(monkeypatch, n_draws):
     grid = build_grid(256, 1e-3)
     monkeypatch.setattr(limitlaw, "_factor_cache", {})
     monkeypatch.setattr(limitlaw, "_PANEL", 12)
-    assert len(limitlaw._row_strips(n_draws)) >= 4
+    assert len(_balanced_spans(n_draws, limitlaw._PANEL)) >= 4
     want = _per_draw_loop(0.6, grid, n_draws, "gaussian_grid", 12, None)
     got = sample_limit_law(0.6, grid, n_draws, "gaussian_grid", 12).values
     assert got.tobytes() == want.tobytes()
