@@ -82,18 +82,14 @@ class ExperimentConfig:
             raise DomainError(
                 f"experiment must be one of {EXPERIMENTS}, "
                 f"got {self.experiment!r}")
-        for name in ("seed", "reps", "workers", "m", "m_sample"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if not (0 <= self.seed < 2 ** 64):
+        for name, least in (("seed", 0), ("reps", 1), ("workers", 1),
+                            ("m", None), ("m_sample", None)):
+            object.__setattr__(self, name,
+                               _integer(name, getattr(self, name), least))
+        if self.seed >= 2 ** 64:
             raise DomainError("seed must be an explicit unsigned 64-bit int")
-        ns = tuple(_integer("n", n) for n in self.ns)
-        if any(n < 1 for n in ns):
-            raise DomainError("all n must be >= 1")
+        ns = tuple(_integer("n", n, 1) for n in self.ns)
         object.__setattr__(self, "ns", ns)
-        if self.reps < 1:
-            raise DomainError("reps >= 1 required")
-        if self.workers < 1:
-            raise DomainError("workers >= 1 required")
         if self.experiment in _NEEDS_RHO:
             if self.rho is None:
                 raise DomainError(f"{self.experiment} requires rho")
@@ -154,11 +150,8 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
     input.  Should rounding leave a row out of order after the transform,
     the block is sorted again, which gives the per-replication loop's rows.
     """
-    n, reps, workers = (_integer("n", n), _integer("reps", reps),
-                        _integer("workers", workers))
-    if n < 1 or reps < 1 or workers < 1:
-        raise DomainError(f"need n, reps, workers >= 1; got n={n}, "
-                          f"reps={reps}, workers={workers}")
+    n, reps, workers = (_integer("n", n, 1), _integer("reps", reps, 1),
+                        _integer("workers", workers, 1))
     pairs = rho is not None
     if pairs:
         rho = as_correlation(rho).rho

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import betainc, ndtri
 
 from .errors import DomainError
-from .special import _LOG_4PI, std_normal_cdf
+from .special import _LOG_4PI, _as_unit_prob_array, std_normal_cdf
 from .streams import _integer, substream
 
 __all__ = [
@@ -107,9 +107,7 @@ class MomentEstimate:
 
 def harmonic_sums(k: int) -> HarmonicSums:
     """Exact partial harmonic sums through k (empty for k = 0)."""
-    k = _integer("k", k)
-    if k < 0:
-        raise DomainError("k >= 0 required")
+    k = _integer("k", k, 0)
     s1 = math.fsum(1.0 / j for j in range(1, k + 1))
     s2 = math.fsum(1.0 / (j * j) for j in range(1, k + 1))
     return HarmonicSums(k=k, s1=s1, s2=s2)
@@ -117,21 +115,9 @@ def harmonic_sums(k: int) -> HarmonicSums:
 
 def harmonic_expansion_gap(k: int) -> float:
     """Diagnostic ``s1_k - (log k + gamma0 + 1/(2k))``, an O(1/k^2) residual."""
-    if k < 1:
-        raise DomainError("expansion gap needs k >= 1")
+    k = _integer("k", k, 1)
     s = harmonic_sums(k)
     return s.s1 - (math.log(k) + GAMMA0 + 1.0 / (2.0 * k))
-
-
-def _check_nk(n: int, k: int, C: float, theta: float):
-    if n < 3:
-        raise DomainError("n >= 3 required")
-    if k < 0 or k > n - 1:
-        raise DomainError(f"k must satisfy 0 <= k <= n-1, got {k}")
-    kmax = C * math.log(n) ** theta
-    if k > kmax:
-        raise DomainError(
-            f"k = {k} exceeds the admissible range C (log n)^theta = {kmax:.3f}")
 
 
 def _variant_index(k: int, variant: str) -> int:
@@ -148,8 +134,13 @@ def extreme_mean(n: int, k: int, variant: str = "shifted", *,
     / sqrt(8 log n)`` with ``idx = k+1`` (as_stated) or ``k`` (shifted).
     The neglected term is ``O((log log n)^2 / (log n)^{3/2})``.
     """
-    n, k = _integer("n", n), _integer("k", k)
-    _check_nk(n, k, C, theta)
+    n, k = _integer("n", n, 3), _integer("k", k, 0)
+    if k > n - 1:
+        raise DomainError(f"k must satisfy 0 <= k <= n-1, got {k}")
+    kmax = C * math.log(n) ** theta
+    if k > kmax:
+        raise DomainError(
+            f"k = {k} exceeds the admissible range C (log n)^theta = {kmax:.3f}")
     idx = _variant_index(k, variant)
     L = math.log(n)
     LL = math.log(L)
@@ -176,10 +167,9 @@ def sample_extreme(n: int, k: int, reps: int, seed: int) -> MomentEstimate:
     the reflected quantile keeps full precision because B is small.
     Deterministic given the seed.
     """
-    n, k, reps = _integer("n", n), _integer("k", k), _integer("reps", reps)
-    if reps < 1:
-        raise DomainError("reps >= 1 required")
-    if n < 1 or k < 0 or k > n - 1:
+    n, k = _integer("n", n, 1), _integer("k", k, 0)
+    reps = _integer("reps", reps, 1)
+    if k > n - 1:
         raise DomainError(f"need 1 <= k+1 <= n, got n={n}, k={k}")
     rng = substream(seed, "extreme", n, k)
     b = rng.beta(k + 1, n - k, size=reps)
@@ -206,8 +196,8 @@ def order_stat_cdf(x, n: int, k: int):
     Expressed through the regularized incomplete Beta function (the
     binomial upper-tail identity); used to validate the Beta sampler.
     """
-    n, k = _integer("n", n), _integer("k", k)
-    if n < 1 or k < 0 or k > n - 1:
+    n, k = _integer("n", n, 1), _integer("k", k, 0)
+    if k > n - 1:
         raise DomainError(f"need 1 <= k+1 <= n, got n={n}, k={k}")
     p = np.asarray(std_normal_cdf(x), dtype=float)
     return betainc(n - k, k + 1, p)
@@ -271,9 +261,8 @@ def uniform_quantile_central_moment(n: int, u, p: int):
     """
     if p not in (2, 4):
         raise DomainError("only the even powers p = 2 and p = 4 are supported")
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise DomainError("u must lie strictly in (0,1)")
+    n = _integer("n", n, 1)
+    u_arr = np.atleast_1d(_as_unit_prob_array(u))
     a = np.ceil(n * u_arr)
     if np.any(a < 1) or np.any(a > n):
         raise DomainError("ceil(n u) must land in 1..n")

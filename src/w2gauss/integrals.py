@@ -6,7 +6,7 @@ substitutes ``u = 1 - exp(-exp(t))`` (mirrored at the lower end), under
 which ``u(1-u)/h^2 du`` becomes a bounded, slowly varying integrand on the
 iterated-log scale ``t = log log (1/(1-u))``, which the package's one
 tanh-sinh rule (``special._de_quad``) integrates and certifies.  The
-certificate does not cover the tail law in ``_diag_tail_ratio``.
+certificate does not cover the tail law in ``special._diag_gap_ratio``.
 
 Provided integrals:
 
@@ -38,8 +38,9 @@ from scipy.special import erfcx, ndtr, ndtri
 
 from .errors import DivergenceError, DomainError
 from .extremes import GAMMA0
-from .special import (_bvnu_vec, _de_quad, as_correlation,
-                      copula_diagonal_gap, density_quantile_h)
+from .special import (_TAIL_LAW_X2, _as_unit_prob_array, _de_quad,
+                      _diag_gap_ratio, as_correlation, copula_diagonal_gap,
+                      density_quantile_h)
 
 __all__ = [
     "SingularIntegralResult",
@@ -59,7 +60,7 @@ LOG2_PLUS_GAMMA0 = math.log(2.0) + GAMMA0
 
 T_HALF = math.log(math.log(2.0))  # t at u = 1/2
 DELTA_FLOOR = 1e-250  # below this 1-u is not resolvable in double precision
-_T_SWITCH = math.log(-math.log(float(ndtr(-math.sqrt(190.0)))))  # x^2 = 190
+_T_SWITCH = math.log(-math.log(float(ndtr(-math.sqrt(_TAIL_LAW_X2)))))
 
 # window edges used by the divergence probe (truncation delta per window)
 _WINDOW_DELTAS = (1e-4, 1e-8, 1e-16, 1e-32, 1e-64, 1e-128, 1e-250)
@@ -112,9 +113,7 @@ class DiagonalTailDiagnostics:
 
 def variance_weight(u):
     """``u (1-u) / h(u)^2``, the variance weight of the quantile process."""
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("variance_weight needs u strictly in (0,1)")
+    arr = _as_unit_prob_array(u, "variance_weight: u")
     h = np.asarray(density_quantile_h(arr))
     out = arr * (1.0 - arr) / (h * h)
     return float(out) if np.ndim(u) == 0 else out
@@ -209,29 +208,14 @@ def d1n(n, C: float = 1.0, theta: float = 2.0) -> SingularIntegralResult:
 # second moment of the coupled-bridge functional
 # --------------------------------------------------------------------------
 
-def _diag_tail_ratio(x, rho: float):
-    """``P(X > x, Y > x) / P(X > x)`` on the diagonal.
-
-    The bivariate quadrature while x^2 < 190 (``1-u`` above 1.6e-43), then
-    the tail law ``(1+rho) Phi(-x sqrt((1-rho)/(1+rho)))``: exact at rho =
-    0 and 1e-14 off in ``1 - r`` at rho = 0.6, but +3.8e-3 relative off in
-    r at the switch at rho = 0.95 (30-digit reference).  ``M(rho, 1e-250)``
-    is then +5.1e-6 relative off at rho = 0.95 and +1.5e-4 at 0.99, which
-    its certified error estimate does not cover.
-    """
-    near = x * x < 190.0
-    r = (1.0 + rho) * ndtr(-x * math.sqrt((1.0 - rho) / (1.0 + rho)))
-    r[near] = _bvnu_vec(x[near], x[near], rho) / ndtr(-x[near])
-    return r
-
-
 def _second_moment_integrand_t(t, rho: float):
     """One-tail integrand of M(rho, .) on the t-scale: ``(1-r) q^2 L / h^2``.
 
-    ``r`` is the diagonal survival ratio; finite for t <= _t_of(DELTA_FLOOR).
+    ``1 - r`` is the diagonal gap ratio (:func:`special._diag_gap_ratio`);
+    finite for t <= _t_of(DELTA_FLOOR).
     """
     x = -ndtri(np.exp(-np.exp(t)))
-    return (1.0 - _diag_tail_ratio(x, rho)) * _weight_t(t, x)
+    return _diag_gap_ratio(x, rho) * _weight_t(t, x)
 
 
 def _second_moment_quad(rho: float, edges, what: str):
@@ -331,9 +315,7 @@ def copula_diagonal_tail(rho, u) -> DiagonalTailDiagnostics:
     measured against the marginal tail ``1-u``.
     """
     corr = as_correlation(rho)
-    uf = float(u)
-    if not (0.0 < uf < 1.0):
-        raise DomainError("u must lie in (0,1)")
+    uf = float(_as_unit_prob_array(u, "copula_diagonal_tail: u"))
     q = 1.0 - uf
     L = -math.log(q)
     if not (L > math.e):

@@ -198,9 +198,7 @@ def build_grid(m: int, delta: float) -> GridSpec:
     needs ``1 - delta < 1`` in floating point (``delta`` above about
     5.6e-17).
     """
-    m = _integer("m", m)
-    if m < 16:
-        raise DomainError(f"grid size m >= 16 required, got {m}")
+    m = _integer("m", m, 16)
     if not (0.0 < delta < 0.25):
         raise DomainError(f"delta must lie in (0, 1/4), got {delta!r}")
     if 1.0 - delta == 1.0:
@@ -395,14 +393,6 @@ def _sum_factor(grid: GridSpec, rho: float) -> np.ndarray:
 # the two mechanisms
 # --------------------------------------------------------------------------
 
-def _m_sample(m_sample) -> int:
-    """``m_sample`` as an int, or ``DomainError`` unless it is >= 1e4."""
-    m_sample = _integer("m_sample", m_sample)
-    if m_sample < 10 ** 4:
-        raise DomainError(f"m_sample >= 1e4 required, got {m_sample}")
-    return m_sample
-
-
 def _coupled_bridges(grid: GridSpec, rho: float, m_sample: int):
     """Map a ``(rows, 2 m_sample)`` block of uniforms (one row per draw,
     overwritten) to those draws' ``(rows, 2, m)`` empirical bridges
@@ -432,7 +422,7 @@ def _mechanism(mechanism: str, grid: GridSpec, rho: float, seed: int,
             return (z[s:e] @ LT for s, e in _balanced_spans(len(z), _PANEL))
         return (_stream_states(seed, ("limit_gaussian",), draws), grid.m,
                 gaussian)
-    m_sample = _m_sample(m_sample)
+    m_sample = _integer("m_sample", m_sample, 10 ** 4)
     coupled = _coupled_bridges(grid, rho, m_sample)
     return (_stream_states(seed, ("limit_empirical",), draws), 2 * m_sample,
             lambda u: [np.subtract(*coupled(u).swapaxes(0, 1))])
@@ -464,6 +454,7 @@ def simulate_bridge_pair_gaussian(grid: GridSpec, rho, seed: int,
     matches that row's difference to within matmul rounding.
     """
     corr = as_correlation(rho)
+    draw_index = _integer("draw_index", draw_index, 0)
     bx, by = _gaussian_pairs(grid, corr.rho, seed,
                              range(draw_index, draw_index + 1))
     return BridgePair(grid=grid, bx=bx[0], by=by[0], rho=corr)
@@ -478,7 +469,8 @@ def simulate_bridge_pair_coupled(grid: GridSpec, rho, m_sample: int,
     is the empirical bridge of the uniforms ``Phi(X_i)`` evaluated at u.
     """
     corr = as_correlation(rho)
-    m_sample = _m_sample(m_sample)
+    m_sample = _integer("m_sample", m_sample, 10 ** 4)
+    draw_index = _integer("draw_index", draw_index, 0)
     states = _stream_states(seed, ("limit_empirical",),
                             range(draw_index, draw_index + 1))
     bx, by = _coupled_bridges(grid, corr.rho, m_sample)(
@@ -602,9 +594,9 @@ def sample_limit_law(rho, grid: GridSpec, n_draws: int, mechanism: str,
     if mechanism not in MECHANISMS:
         raise DomainError(
             f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
-    n_draws, workers = _integer("n_draws", n_draws), _integer("workers", workers)
-    if n_draws < 1 or workers < 1:
-        raise DomainError("n_draws >= 1 and workers >= 1 required")
+    n_draws = _integer("n_draws", n_draws, 1)
+    workers = _integer("workers", workers, 1)
+    seed = _integer("seed", seed, 0)
     if corr.zero_flag and not divergence_demo:
         raise DomainError(
             "rho = 0: the limit functional is almost surely infinite "

@@ -78,38 +78,32 @@ _SEED_WORDS = 3
 _SFC64_WARMUP = 12
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int``.
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as an ``int``, at least ``least`` when that is given.
 
-    An integral float (JSON's ``1e4``) converts; a bool, a fraction or
-    anything else raises :class:`DomainError` rather than being truncated.
+    The package's one check of a seed, stream index or count.  An integral
+    float (JSON's ``1e4``) converts; a bool, a fraction, a string or
+    anything else raises :class:`DomainError` rather than being truncated,
+    and so does an integer below ``least``.
     """
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
-def _master_seed(master_seed) -> int:
-    seed = int(master_seed)
-    if seed < 0:
-        raise DomainError("master seed must be a nonnegative integer")
-    return seed
+        out = int(value)
+    elif isinstance(value, (float, np.floating)) and float(value).is_integer():
+        out = int(value)
+    else:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if least is not None and out < least:
+        raise DomainError(f"{name} must be >= {least}, got {out}")
+    return out
 
 
 def _key_ints(key) -> tuple[int, ...]:
     out = []
     for p in key:
-        if isinstance(p, str):
-            if p not in DOMAINS:
-                raise DomainError(f"unknown stream domain {p!r}")
-            out.append(DOMAINS[p])
-        else:
-            q = int(p)
-            if q < 0:
-                raise DomainError("stream key indices must be nonnegative")
-            out.append(q)
+        if isinstance(p, str) and p not in DOMAINS:
+            raise DomainError(f"unknown stream domain {p!r}")
+        out.append(DOMAINS[p] if isinstance(p, str)
+                   else _integer("stream key index", p, 0))
     return tuple(out)
 
 
@@ -119,7 +113,7 @@ def substream(master_seed: int, *key) -> np.random.Generator:
     ``key`` elements are nonnegative integers or registered domain names;
     the pair (seed, key) fully determines the stream.
     """
-    ss = np.random.SeedSequence(entropy=_master_seed(master_seed),
+    ss = np.random.SeedSequence(entropy=_integer("seed", master_seed, 0),
                                 spawn_key=_key_ints(key))
     return np.random.Generator(np.random.SFC64(ss))
 
@@ -163,7 +157,7 @@ def _stream_states(seed: int, key: tuple, reps: range) -> np.ndarray:
     the limit law) are the same in every lane and are mixed once; a rep at or
     above 2^32 adds a second word, so only those lanes mix it.
     """
-    seed = _master_seed(seed)
+    seed = _integer("seed", seed, 0)
     *prefix, _ = _key_ints((*key, reps.start))
     run = _words(seed)
     shared = np.array(run + [0] * (_POOL - len(run))

@@ -72,11 +72,18 @@ class GaussianReference:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)
-                and self.sigma > 0.0):
+        # real numbers through float(), as as_correlation; not strings
+        try:
+            mu, sigma = (math.nan if isinstance(v, str) else float(v)
+                         for v in (self.mu, self.sigma))
+        except (TypeError, ValueError):
+            mu = sigma = math.nan
+        if not (math.isfinite(mu) and math.isfinite(sigma) and sigma > 0.0):
             raise DomainError(
                 f"GaussianReference requires finite mu and sigma > 0, "
                 f"got mu={self.mu!r}, sigma={self.sigma!r}")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", sigma)
 
 
 STANDARD = GaussianReference(0.0, 1.0)
@@ -518,9 +525,7 @@ def expected_one_sample_w2sq(n: int) -> float:
     of a window's mass from 1.  Raises :class:`QuadratureError` when it
     exceeds 1e-10 relative.
     """
-    n = _integer("n", n)
-    if n < 1:
-        raise DomainError("n >= 1 required")
+    n = _integer("n", n, 1)
     mass_error = [0.0]
 
     def integrand(t, rows):

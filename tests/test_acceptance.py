@@ -17,10 +17,10 @@ from scipy.special import ndtri
 
 from w2gauss import (VARIANTS, DivergenceError, ExperimentConfig,
                      GaussianReference, SortedSample, bickel_integral,
-                     build_grid, d1n, ks_two_sample,
-                     limit_second_moment, order_stat_cdf, replicate_w2sq,
-                     resolve_index_variant, run_experiment, sample_limit_law,
-                     std_normal_cdf, truncated_second_moment,
+                     build_grid, d1n, expected_one_sample_w2sq,
+                     ks_two_sample, limit_second_moment, order_stat_cdf,
+                     replicate_w2sq, resolve_index_variant, run_experiment,
+                     sample_limit_law, std_normal_cdf, truncated_second_moment,
                      uniform_quantile_central_moment, w2sq_vs_gaussian,
                      write_outputs)
 
@@ -91,7 +91,7 @@ def test_criterion_02_closed_forms():
 
 
 def test_criterion_03_theorem1_desk_scale():
-    ratios = {}
+    ratios, off_se = {}, {}
     centered_1e5 = None
     for n, reps in ((10 ** 4, 6000), (10 ** 5, 5000), (10 ** 6, 2500)):
         # the engine's values do not depend on the worker count
@@ -99,6 +99,9 @@ def test_criterion_03_theorem1_desk_scale():
                                   workers=os.cpu_count() or 1)
         ll = math.log(math.log(n))
         ratios[n] = vals.mean() / ll
+        # the mean against the exact E[n W2^2], in standard errors
+        off_se[n] = ((vals.mean() - expected_one_sample_w2sq(n))
+                     / (vals.std(ddof=1) / math.sqrt(reps)))
         if n == 10 ** 5:
             centered_1e5 = vals.mean() - ll
     in_window = 0.9 <= centered_1e5 <= 1.7
@@ -107,7 +110,9 @@ def test_criterion_03_theorem1_desk_scale():
              f"centered value at n=1e5: {centered_1e5:.4f} (window "
              f"[0.9, 1.7]); ratios {ratios[10**4]:.4f} > "
              f"{ratios[10**5]:.4f} > {ratios[10**6]:.4f} strictly "
-             f"decreasing: {decreasing}")
+             f"decreasing: {decreasing}; means minus the exact mean: "
+             + ", ".join(f"{d:+.2f} SE at n=1e{round(math.log10(n))}"
+                         for n, d in off_se.items()))
 
 
 def test_criterion_04_bickel_constant():

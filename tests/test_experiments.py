@@ -414,7 +414,8 @@ def test_replicate_w2sq_validation():
     for kwargs in (dict(n=0), dict(reps=0), dict(workers=0), dict(rho=1.0),
                    dict(rho=float("nan")), dict(domain="nope"),
                    dict(seed=-1), dict(n=8.5), dict(reps=True),
-                   dict(workers=1.9)):
+                   dict(workers=1.9), dict(seed=2.5), dict(seed=True),
+                   dict(seed="7")):
         args = dict(seed=1, domain="generic", n=8, reps=2) | kwargs
         with pytest.raises(DomainError):
             replicate_w2sq(**args)

@@ -137,15 +137,18 @@ def test_sample_extreme_domain():
     (extreme_mean, (100, 2), 1), (sample_extreme, (1000, 0, 1000, 1), 0),
     (sample_extreme, (1000, 1, 1000, 1), 1),
     (sample_extreme, (1000, 0, 1000, 1), 2),
-    (order_stat_cdf, (2.0, 100, 2), 1), (order_stat_cdf, (2.0, 100, 2), 2)])
+    (order_stat_cdf, (2.0, 100, 2), 1), (order_stat_cdf, (2.0, 100, 2), 2),
+    (sample_extreme, (1000, 0, 1000, 1), 3),
+    (uniform_quantile_central_moment, (100, 0.3, 2), 0),
+    (harmonic_expansion_gap, (3,), 0)])
 def test_integer_arguments(fn, args, at):
-    # an integral float is that integer; a fraction or a bool is refused,
-    # not truncated to another integer's result
+    # an integral float is that integer; a fraction, a bool or a string is
+    # refused, not truncated or parsed to another integer's result
     def with_arg(value):
         return (*args[:at], value, *args[at + 1:])
 
     assert fn(*with_arg(float(args[at]))) == fn(*args)
-    for bad in (args[at] + 0.5, True):
+    for bad in (args[at] + 0.5, True, str(args[at])):
         with pytest.raises(DomainError, match="integer"):
             fn(*with_arg(bad))
 
@@ -235,6 +238,8 @@ def test_uniform_quantile_moment_domain():
         uniform_quantile_central_moment(100, 0.0, 2)
     with pytest.raises(DomainError):
         uniform_quantile_central_moment(100, 1.0, 2)
+    with pytest.raises(DomainError):
+        uniform_quantile_central_moment(100, math.nan, 2)
 
 
 # --------------------------------------------------------------------------

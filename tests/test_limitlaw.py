@@ -721,15 +721,20 @@ def test_sample_limit_law_counts_are_integers():
     assert got.tobytes() == want.tobytes()
     for kwargs in (dict(n_draws=True), dict(n_draws=2.5), dict(n_draws=0),
                    dict(m_sample=True), dict(m_sample=1.5e4 + 0.5),
-                   dict(workers=True), dict(workers=0), dict(workers=1.5)):
+                   dict(workers=True), dict(workers=0), dict(workers=1.5),
+                   dict(seed=2.5)):
         args = dict(rho=0.6, grid=grid, n_draws=3,
                     mechanism="empirical_coupling", seed=4) | kwargs
         with pytest.raises(DomainError):
             sample_limit_law(**args)
     with pytest.raises(DomainError, match="integer"):
         sample_limit_law(0.6, grid, 3, "empirical_coupling", 4, m_sample=True)
-    with pytest.raises(DomainError, match="1e4"):
+    with pytest.raises(DomainError, match="m_sample must be >= 10000"):
         sample_limit_law(0.6, grid, 3, "empirical_coupling", 4, m_sample=9999)
+    with pytest.raises(DomainError, match="integer"):
+        simulate_bridge_pair_gaussian(grid, 0.6, 4, draw_index=1.5)
+    with pytest.raises(DomainError, match="integer"):
+        simulate_bridge_pair_coupled(grid, 0.6, 10 ** 4, 4, draw_index=1.5)
 
 
 def test_unknown_mechanism_rejected():

@@ -314,6 +314,15 @@ def test_copula_diagonal_gap_matches_direct():
         # the array form broadcasts to the same values
         assert copula_diagonal_gap(np.array(us), rho).tolist() == \
             [copula_diagonal_gap(u, rho) for u in us]
+    # beyond x^2 = 190 the gap ratio takes its tail law: positive, and
+    # within 2e-3 relative of the oracle (1e-3 at rho = 0.99, q = 1e-50)
+    for q in (1e-50, 1e-100):
+        x = -std_normal_quantile(q)
+        for rho in (0.95, 0.99):
+            gap = copula_diagonal_gap(q, rho)
+            want = 1.0 - _bvn_upper_mp(x, x, rho) / q
+            assert gap > 0.0
+            assert gap / q == pytest.approx(want, rel=2e-3, abs=0.0)
 
 
 # --------------------------------------------------------------------------

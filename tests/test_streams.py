@@ -49,6 +49,17 @@ def test_substream_validation():
         substream(5, "no_such_domain")
     with pytest.raises(DomainError):
         substream(5, "generic", -2)
+    # a seed or key index is an integer: a fraction, bool or string is
+    # refused, not read as another seed's stream
+    for seed in (2.5, True, "7"):
+        with pytest.raises(DomainError, match="integer"):
+            substream(seed, "generic")
+    with pytest.raises(DomainError, match="integer"):
+        substream(1, "one_sample", 2.7)
+    want = substream(7, "generic", 3).random(8)
+    for seed, index in ((np.uint64(7), 3), (7.0, 3), (7, 3.0)):
+        assert substream(seed, "generic", index).random(8).tobytes() == \
+            want.tobytes()
 
 
 def test_no_collisions_across_rep_range():
@@ -93,9 +104,17 @@ def test_stream_states_match_seed_sequence(seed, domain, n, prefix, index,
 def test_stream_states_validation():
     for args in ((-1, ("generic", 4), range(3)), (5, ("nope", 4), range(3)),
                  (5, ("generic", -4), range(3)),
-                 (5, ("generic", 4), range(-1, 3))):
+                 (5, ("generic", 4), range(-1, 3)),
+                 (2.5, ("generic", 4), range(3)),
+                 (True, ("generic", 4), range(3)),
+                 ("7", ("generic", 4), range(3)),
+                 (5, ("generic", 2.7), range(3))):
         with pytest.raises(DomainError):
             streams._stream_states(*args)
+    want = streams._stream_states(7, ("generic", 4), range(3))
+    for seed in (np.uint64(7), 7.0):
+        got = streams._stream_states(seed, ("generic", 4.0), range(3))
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("calls, n", [(1, 1), (1, 1000), (2, 7), (2, 300)])

@@ -330,6 +330,10 @@ def test_parameter_domain_rejections():
     # K pushed past the midpoint must be refused
     with pytest.raises(DomainError):
         tail_decomposition(_sample(64, 3), C=4.0, theta=2.0)
+    # a reference law takes real numbers only
+    for kwargs in ({"mu": "a"}, {"sigma": None}, {"sigma": "2"}):
+        with pytest.raises(DomainError):
+            GaussianReference(**kwargs)
 
 
 def _extremes_mc(n, reps=48, seed=20260825, **kwargs):
