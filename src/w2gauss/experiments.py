@@ -31,8 +31,7 @@ from .limitlaw import (MECHANISMS, _draw_summary, build_grid, ks_two_sample,
                        sample_limit_law)
 from .special import (as_correlation, h_tail_expansion, psi, psi_expansion,
                       quantile_tail_expansion, scaled_tail, std_normal_quantile)
-from .streams import (_integer, _normals_inplace, _pairs_inplace, _replicate,
-                      _stream_states)
+from .streams import _integer, _pairs_inplace, _replicate, _stream_states
 from .wasserstein import _cell_tables, _check_sorted_rows, _w2sq_rows
 
 __all__ = [
@@ -83,7 +82,7 @@ class ExperimentConfig:
                 f"experiment must be one of {EXPERIMENTS}, "
                 f"got {self.experiment!r}")
         for name, least in (("seed", 0), ("reps", 1), ("workers", 1),
-                            ("m", None), ("m_sample", None)):
+                            ("m", 16), ("m_sample", 10 ** 4)):
             object.__setattr__(self, name,
                                _integer(name, getattr(self, name), least))
         if self.seed >= 2 ** 64:
@@ -137,18 +136,14 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
 
     The SFC64 states of all ``reps`` substreams are derived up front in
     one vectorised pass (:func:`streams._stream_states`), and each
-    replication's uniforms are filled straight from its state, one row of
+    replication's normals are filled straight from its state, one row of
     ``n`` (or ``2n`` for pairs: X's, then Z's) per replication.
-    :func:`streams._replicate` runs the block pipeline, finishing each
-    block in place with the normal transform, sort (:func:`_sort_rows`),
-    sortedness check and W2 reduction.  Each block's W2 values are one
-    row-wise reduction
-    (:func:`wasserstein._w2sq_rows`) of the rank-wise gaps: ``Z - m``
-    against the cell means of :func:`wasserstein._cell_tables`, or
-    ``X - Y`` for pairs.  One-sample blocks are sorted as uniforms, before
-    ``ndtri``: the transform is increasing and runs faster on sorted
-    input.  Should rounding leave a row out of order after the transform,
-    the block is sorted again, which gives the per-replication loop's rows.
+    :func:`streams._replicate` runs the block loop, finishing each block in
+    place: correlation (pairs only), sort (:func:`_sort_rows`), sortedness
+    check and W2 reduction.  Each block's W2 values are one row-wise
+    reduction (:func:`wasserstein._w2sq_rows`) of the rank-wise gaps:
+    ``Z - m`` against the cell means of :func:`wasserstein._cell_tables`,
+    or ``X - Y`` for pairs.
     """
     n, reps, workers = (_integer("n", n, 1), _integer("reps", reps, 1),
                         _integer("workers", workers, 1))
@@ -158,19 +153,15 @@ def replicate_w2sq(seed: int, domain: str, n: int, reps: int,
     else:
         m, _, within = _cell_tables(n)
 
-    def finish(u: np.ndarray) -> np.ndarray:
-        # one row per replication; the block is the pipeline's buffer:
-        # every stage overwrites it
+    def finish(z: np.ndarray) -> np.ndarray:
+        # one row per replication; the block is the loop's buffer: every
+        # stage overwrites it
         if pairs:
-            xy = _sort_rows(_pairs_inplace(u, rho))
+            xy = _sort_rows(_pairs_inplace(z, rho))
             _check_sorted_rows(xy)
             return _w2sq_rows(np.subtract(xy[:, 0], xy[:, 1], out=xy[:, 0]))
-        _normals_inplace(_sort_rows(u))
-        ordered = bool((u[..., 1:] >= u[..., :-1]).all())
-        if not ordered:
-            _sort_rows(u)
-        _check_sorted_rows(u, ordered)
-        return _w2sq_rows(np.subtract(u, m, out=u), within)
+        _check_sorted_rows(_sort_rows(z))
+        return _w2sq_rows(np.subtract(z, m, out=z), within)
 
     states = _stream_states(seed, (domain, n), range(reps))
     return _replicate(states, 2 * n if pairs else n, finish, workers)

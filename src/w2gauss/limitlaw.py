@@ -11,16 +11,15 @@ alone.  ``K_D`` is the one matrix evaluated pair by pair, each entry one
 bivariate-normal tail; the cross covariance is ``Kb - K_D/2`` and ``K_S``
 is ``4 Kb - K_D``, with ``Kb = min(u,v) - uv`` the bridge kernel.  This
 module draws that functional by two independent mechanisms so each can
-check the other, each one transform of a block of keyed open uniforms,
+check the other, each one transform of a block of keyed standard normals,
 one row per draw, into the differences ``bx - by``:
 
-* ``gaussian_grid``: ``(rows, m)`` uniforms through ``ndtri`` and
-  ``@ L.T``, with ``L`` the Cholesky factor of the m x m ``K_D``: exact
-  multivariate-normal draws of ``D`` on a fixed grid (the single-pair API
-  adds ``S`` from ``K_S``);
-* ``empirical_coupling``: ``(rows, 2 m_sample)`` uniforms through ``ndtri``
-  into correlated normal pairs, sorted and counted below the node
-  quantiles: empirical bridges on the same grid, converging to the same law.
+* ``gaussian_grid``: ``(rows, m)`` normals times ``L.T``, with ``L`` the
+  Cholesky factor of the m x m ``K_D``: exact multivariate-normal draws of
+  ``D`` on a fixed grid (the single-pair API adds ``S`` from ``K_S``);
+* ``empirical_coupling``: ``(rows, 2 m_sample)`` normals into correlated
+  normal pairs, sorted and counted below the node quantiles: empirical
+  bridges on the same grid, converging to the same law.
 
 The grid truncates at ``delta`` per end.  The truncated functional has
 finite mean ``M(rho, delta)`` (see
@@ -45,9 +44,8 @@ from .integrals import DELTA_FLOOR, truncated_second_moment
 # _bvnu_scalar is unused here but stays bound: perfbench/tracer.py rebinds it
 from .special import (Correlation, _bvnu_scalar, _bvnu_vec, as_correlation,
                       copula_diagonal_gap, density_quantile_h)
-from .streams import (_balanced_spans, _integer, _keyed_uniforms,
-                      _normals_inplace, _pairs_inplace, _replicate,
-                      _stream_states)
+from .streams import (_balanced_spans, _integer, _keyed_normals,
+                      _pairs_inplace, _replicate, _stream_states)
 
 __all__ = [
     "GridSpec",
@@ -394,14 +392,14 @@ def _sum_factor(grid: GridSpec, rho: float) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _coupled_bridges(grid: GridSpec, rho: float, m_sample: int):
-    """Map a ``(rows, 2 m_sample)`` block of uniforms (one row per draw,
-    overwritten) to those draws' ``(rows, 2, m)`` empirical bridges
+    """Map a ``(rows, 2 m_sample)`` block of standard normals (one row per
+    draw, overwritten) to those draws' ``(rows, 2, m)`` empirical bridges
     ``bx, by``."""
     xq = ndtri(grid.nodes)
 
-    def coupled(u: np.ndarray) -> np.ndarray:
-        xy = _pairs_inplace(u, rho)
-        xy.sort(axis=2)  # in place: the block is the pipeline's buffer
+    def coupled(z: np.ndarray) -> np.ndarray:
+        xy = _pairs_inplace(z, rho)
+        xy.sort(axis=2)  # in place: the block is the loop's buffer
         counts = np.array([[np.searchsorted(sample, xq, side="right")
                             for sample in pair] for pair in xy])
         return (counts / m_sample - grid.nodes) * math.sqrt(m_sample)
@@ -411,34 +409,32 @@ def _coupled_bridges(grid: GridSpec, rho: float, m_sample: int):
 def _mechanism(mechanism: str, grid: GridSpec, rho: float, seed: int,
                draws: range, m_sample: int):
     """``(states, width, diffs)`` of ``draws``: ``diffs`` maps a ``(rows,
-    width)`` block of the states' uniforms (one row per draw) to those
+    width)`` block of the states' normals (one row per draw) to those
     draws' differences ``bx - by``, as consecutive strips of rows, each a
     new array."""
     if mechanism == "gaussian_grid":
         LT = _cholesky_factor(grid, rho).T
 
-        def gaussian(u: np.ndarray):
-            z = _normals_inplace(u)
+        def gaussian(z: np.ndarray):
             return (z[s:e] @ LT for s, e in _balanced_spans(len(z), _PANEL))
         return (_stream_states(seed, ("limit_gaussian",), draws), grid.m,
                 gaussian)
     m_sample = _integer("m_sample", m_sample, 10 ** 4)
     coupled = _coupled_bridges(grid, rho, m_sample)
     return (_stream_states(seed, ("limit_empirical",), draws), 2 * m_sample,
-            lambda u: [np.subtract(*coupled(u).swapaxes(0, 1))])
+            lambda z: [np.subtract(*coupled(z).swapaxes(0, 1))])
 
 
 def _gaussian_pairs(grid: GridSpec, rho: float, seed: int, draws: range):
     """``(bx, by)`` rows of the Gaussian ``draws``, exact on the grid.
 
-    Each draw's stream gives ``2m`` uniforms: the first ``m`` make ``D``
+    Each draw's stream gives ``2m`` normals: the first ``m`` make ``D``
     exactly as ``sample_limit_law`` does, the next ``m`` make ``S`` from
     the factor of ``K_S``; then ``bx = (S + D)/2`` and ``by = (S - D)/2``.
     """
     m = grid.m
-    z = _normals_inplace(_keyed_uniforms(
-        _stream_states(seed, ("limit_gaussian",), draws),
-        np.empty((len(draws), 2 * m))))
+    z = _keyed_normals(_stream_states(seed, ("limit_gaussian",), draws),
+                       np.empty((len(draws), 2 * m)))
     d = z[:, :m] @ _cholesky_factor(grid, rho).T
     s = z[:, m:] @ _sum_factor(grid, rho).T
     return (s + d) / 2.0, (s - d) / 2.0
@@ -450,7 +446,7 @@ def simulate_bridge_pair_gaussian(grid: GridSpec, rho, seed: int,
 
     Deterministic given ``(seed, draw_index)``; ``sample_limit_law``
     consumes consecutive draw indices, and its row ``draw_index`` is drawn
-    from the first ``m`` uniforms of the same stream, so ``bx - by`` here
+    from the first ``m`` normals of the same stream, so ``bx - by`` here
     matches that row's difference to within matmul rounding.
     """
     corr = as_correlation(rho)
@@ -474,7 +470,7 @@ def simulate_bridge_pair_coupled(grid: GridSpec, rho, m_sample: int,
     states = _stream_states(seed, ("limit_empirical",),
                             range(draw_index, draw_index + 1))
     bx, by = _coupled_bridges(grid, corr.rho, m_sample)(
-        _keyed_uniforms(states, np.empty((1, 2 * m_sample))))[0]
+        _keyed_normals(states, np.empty((1, 2 * m_sample))))[0]
     return BridgePair(grid=grid, bx=bx, by=by, rho=corr)
 
 

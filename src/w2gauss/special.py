@@ -89,7 +89,8 @@ class Correlation:
 
     def __post_init__(self):
         rho = self.rho
-        if not (isinstance(rho, (int, float)) and math.isfinite(rho) and abs(rho) < 1.0):
+        if not (isinstance(rho, (int, float)) and not isinstance(rho, bool)
+                and math.isfinite(rho) and abs(rho) < 1.0):
             raise DomainError(f"Correlation requires |rho| < 1, got {rho!r}")
         object.__setattr__(self, "rho", float(rho))
         object.__setattr__(self, "zero_flag", self.rho == 0.0)
@@ -100,9 +101,11 @@ class Correlation:
 
 def as_correlation(rho) -> Correlation:
     """Coerce a float or Correlation to a validated Correlation;
-    ``DomainError`` for anything ``float()`` rejects."""
+    ``DomainError`` for a string, a bool and anything ``float()`` rejects."""
     if isinstance(rho, Correlation):
         return rho
+    if isinstance(rho, (str, bytes, bool, np.bool_)):
+        raise DomainError(f"rho must be a real number, got {rho!r}")
     try:
         rho = float(rho)
     except (TypeError, ValueError):

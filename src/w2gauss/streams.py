@@ -10,23 +10,28 @@ construction; overlap between them is improbable, not impossible.  A
 replication's stream depends only on its own index — never on scheduling
 or worker count — so parallel runs are byte-reproducible.
 
-Every seeded draw takes its uniforms as one contiguous row of its stream:
-a replication of ``n`` correlated pairs reads ``2n`` uniforms, X's ``n``,
-then Z's ``n``, which are the words two ``uniforms_open(g, n)`` calls
-would read.  :func:`substream` defines a stream: numpy's ``SeedSequence``
+Every seeded draw takes its normals as one contiguous row of its stream:
+a replication of ``n`` correlated pairs reads ``2n`` normals, X's ``n``,
+then Z's ``n``, which are the values two ``standard_normals(g, n)`` calls
+would give.  :func:`substream` defines a stream: numpy's ``SeedSequence``
 hashes the key into three 64-bit words, which SFC64 runs through 12
 warm-up rounds.  Seeded replications need thousands of streams per run, so
 :func:`_stream_states` does that hashing and warm-up for a whole range of
-replication indices in one vectorised pass, and :func:`_keyed_uniforms`
+replication indices in one vectorised pass, and :func:`_keyed_normals`
 fills a ``(rows, width)`` block, one row per state, giving each row the
-uniforms :func:`uniforms_open` draws from the same stream.
-:func:`_replicate`, the one replication loop, hands blocks of them to a
-caller's ``finish`` (W2 engine or limit law), which may overwrite the
-block in place.
+normals :func:`standard_normals` draws from the same stream.
+:func:`_replicate`, the one replication loop, fills blocks of them and
+hands each to a caller's ``finish`` (W2 engine or limit law), which may
+overwrite the block in place.
 
-Normal variates are produced by inverse-cdf transform of open-interval
-uniforms, so a single audited quantile path feeds all samplers, and
-correlated pairs are exact via ``Y = rho X + sqrt(1-rho^2) Z``.
+Normal variates are numpy's ``Generator.standard_normal``, the ziggurat of
+Marsaglia & Tsang ("The Ziggurat Method for Generating Random Variables",
+J. Stat. Softw. 5(8), 2000), which draws exact N(0, 1) variates; correlated
+pairs are exact via ``Y = rho X + sqrt(1-rho^2) Z``.  ``ndtri`` stays the
+quantile of every deterministic computation (cell tables, grids,
+integrals); no random draw goes through it.  numpy's stream-compatibility
+policy (NEP 19) does not cover ``Generator`` methods across numpy
+versions, so the draws are byte-stable for a fixed numpy version.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+# ndtri is unused here but stays bound: perfbench/tracer.py rebinds it
 from scipy.special import ndtri
 
 from .errors import DomainError
@@ -203,8 +209,7 @@ def _open_inplace(u: np.ndarray) -> np.ndarray:
     """Turn ``Generator.random``'s ``k 2^-53`` into the open uniform ``(k +
     1/2) / 2^53``, in place: adding 2^-54 rounds the same real ``(2k + 1)
     2^-54``.  That rounds to 1.0 at the one ``k = 2^53 - 1`` (probability
-    2^-53), where ``ndtri`` would give ``+inf``, so it is clamped at
-    ``1 - 2^-53``."""
+    2^-53), so it is clamped at ``1 - 2^-53``."""
     u += _HALF_ULP
     return np.minimum(u, _BELOW_ONE, out=u)
 
@@ -216,15 +221,20 @@ def uniforms_open(rng: np.random.Generator, size) -> np.ndarray:
     return _open_inplace(np.asarray(rng.random(size)))
 
 
-def _keyed_uniforms(states: np.ndarray, out: np.ndarray) -> np.ndarray:
+def standard_normals(rng: np.random.Generator, size) -> np.ndarray:
+    """Standard normals, ``rng.standard_normal(size)`` (numpy's ziggurat);
+    ``size=None`` gives a 0-d array."""
+    return np.asarray(rng.standard_normal(size))
+
+
+def _keyed_normals(states: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill row ``r`` of ``out``, a float64 ``(len(states), width)`` array
-    with contiguous rows, with ``uniforms_open(g, width)`` on the SFC64
+    with contiguous rows, with ``standard_normals(g, width)`` on the SFC64
     stream whose state is ``states[r]``.
 
-    Each row is filled straight from the generator and the block made open
-    in one :func:`_open_inplace` pass.  One private SFC64 takes each row's
-    state through its state setter, with no buffered 32-bit half, as a
-    freshly seeded one starts.
+    One private SFC64 takes each row's state through its state setter, with
+    no buffered 32-bit half, as a freshly seeded one starts, and its
+    generator fills the row in place.
     """
     bits = np.random.SFC64(0)
     gen = np.random.Generator(bits)
@@ -233,18 +243,8 @@ def _keyed_uniforms(states: np.ndarray, out: np.ndarray) -> np.ndarray:
     for row, words in zip(out, states):
         state["state"]["state"] = words
         bits.state = state
-        gen.random(out=row)
-    return _open_inplace(out)
-
-
-def _normals_inplace(u: np.ndarray) -> np.ndarray:
-    """Overwrite open uniforms with their standard-normal quantiles."""
-    return ndtri(u, out=u)
-
-
-def standard_normals(rng: np.random.Generator, size) -> np.ndarray:
-    """Standard normals by inverse-cdf transform of open uniforms."""
-    return _normals_inplace(uniforms_open(rng, size))
+        gen.standard_normal(out=row)
+    return out
 
 
 def _correlate_inplace(x: np.ndarray, z: np.ndarray, rho: float) -> np.ndarray:
@@ -267,15 +267,15 @@ def correlated_normal_pairs(rng: np.random.Generator, size, rho):
     return x, _correlate_inplace(x, z, rho)
 
 
-def _pairs_inplace(u: np.ndarray, rho: float) -> np.ndarray:
-    """Overwrite a contiguous ``(rows, 2w)`` block of open uniforms with
+def _pairs_inplace(z: np.ndarray, rho: float) -> np.ndarray:
+    """Overwrite a contiguous ``(rows, 2w)`` block of standard normals with
     correlated normal pairs, returned as its ``(rows, 2, w)`` view.
 
-    Each row's first ``w`` uniforms become X (``[:, 0]``) and the next
-    ``w`` become Y (``[:, 1]``), as :func:`correlated_normal_pairs` makes
-    them from the same stream.
+    Each row's first ``w`` normals are X (``[:, 0]``) and the next ``w``
+    become Y (``[:, 1]``), as :func:`correlated_normal_pairs` makes them
+    from the same stream.
     """
-    pairs = _normals_inplace(u).reshape(len(u), 2, -1)
+    pairs = z.reshape(len(z), 2, -1)
     _correlate_inplace(pairs[:, 0], pairs[:, 1], rho)
     return pairs
 
@@ -300,40 +300,38 @@ def _balanced_spans(count: int, most: int) -> list:
 def _replicate(states: np.ndarray, width: int, finish,
                workers: int) -> np.ndarray:
     """One value per stream state: ``finish(block)`` for each block of
-    keyed uniforms.
+    keyed normals.
 
-    Row ``r`` of a ``(rows, width)`` block is ``uniforms_open(g, width)``
-    on the stream of its state: every uniform one draw uses, in the order
-    its stream gives them.  ``finish`` may overwrite the block: its buffer
-    is drawn into again only after ``finish`` has returned, and the values
-    it returns are copied out before that.  Blocks hold about 2^17 numbers
-    (1 MiB), their sizes balanced to within one row
-    (:func:`_balanced_spans`).  The calling thread draws each block
-    (:func:`_keyed_uniforms`).  A pool of ``threads = min(workers - 1,
-    number of blocks)`` threads finishes them: the calling thread submits
-    each block it draws to the pool while at most ``threads + 1`` blocks are
-    pending there, and otherwise finishes the block itself.  With no pool threads (``workers == 1``) nothing is
-    submitted, no thread starts, and every block is finished inline in one
-    reused buffer.  Before each draw the calling thread collects the
-    finished blocks at the head of the queue and keeps their buffers for
-    reuse, so at most ``workers + 2`` block buffers exist.  Once every
-    block is drawn, the calling thread finishes each pending block the pool
-    has not started, newest first, while the pool works from the oldest.
-    An error in a block raises here, wherever the block was finished: from
-    the pool, before the next draw once the blocks ahead of it are done.
-    It cancels the blocks still queued, and raises after every pool thread
-    has stopped.
+    Row ``r`` of a ``(rows, width)`` block is ``standard_normals(g,
+    width)`` on the stream of its state: every normal one draw uses, in the
+    order its stream gives them.  ``finish`` may overwrite the block: its
+    buffer is drawn into again only after ``finish`` has returned, and the
+    values it returns are copied out before that.  Blocks hold about 2^17
+    numbers (1 MiB), their sizes balanced to within one row
+    (:func:`_balanced_spans`).  Each block is one task, run on one thread:
+    draw it (:func:`_keyed_normals`), then finish it.  A pool of ``threads
+    = min(workers - 1, number of blocks)`` threads runs tasks: the calling
+    thread submits each block to the pool while at most ``threads + 1``
+    blocks are pending there, and otherwise runs the block's task itself.
+    With no pool threads (``workers == 1``) nothing is submitted, no thread
+    starts, and every block runs inline in one reused buffer.  Before each
+    block the calling thread collects the finished blocks at the head of the
+    queue and keeps their buffers for reuse, so at most ``workers + 2``
+    block buffers exist.  Once every block is handed out, the calling thread
+    runs each pending block the pool has not started, newest first, while
+    the pool works from the oldest.  An error in a block raises here,
+    wherever the block ran: from the pool, before the next block once the
+    blocks ahead of it are done.  It cancels the blocks still queued, and
+    raises after every pool thread has stopped.
     """
     count = len(states)
     spans = _balanced_spans(count, _block_rows(width))
     shape = (-(-count // len(spans)), width)
     out = np.empty(count)
 
-    def draw(start: int, stop: int, buffer: np.ndarray) -> None:
-        _keyed_uniforms(states[start:stop], buffer[:stop - start])
-
     def run(start: int, stop: int, buffer: np.ndarray) -> None:
-        out[start:stop] = finish(buffer[:stop - start])
+        block = _keyed_normals(states[start:stop], buffer[:stop - start])
+        out[start:stop] = finish(block)
 
     threads = min(workers - 1, len(spans))
     # submitted blocks with their spans and buffers, oldest first, and the
@@ -349,14 +347,13 @@ def _replicate(states: np.ndarray, width: int, finish,
                     future.result()
                     free.append(buffer)
                 buffer = free.pop() if free else np.empty(shape)
-                draw(*span, buffer)
                 if threads and len(pending) <= threads + 1:
                     pending.append((pool.submit(run, *span, buffer), span,
                                     buffer))
                 else:
                     run(*span, buffer)
                     free.append(buffer)
-            # all drawn: the pool takes queued blocks from the head, the
+            # all handed out: the pool takes queued blocks from the head, the
             # calling thread takes those the pool has not started from the tail
             for future, span, buffer in reversed(pending):
                 if future.cancel():

@@ -89,18 +89,16 @@ class GaussianReference:
 STANDARD = GaussianReference(0.0, 1.0)
 
 
-def _check_sorted_rows(rows: np.ndarray, ordered: bool = False) -> None:
+def _check_sorted_rows(rows: np.ndarray) -> None:
     """``DomainError`` unless every last-axis row is a sorted sample.
 
     A row passes when its endpoints are finite and each neighbour pair is
     ordered; a NaN fails the ordering, and an infinity in a nondecreasing
-    row would sit at an endpoint.  ``ordered=True`` says the caller has
-    already found every neighbour pair ordered, so only the endpoints are
-    checked.
+    row would sit at an endpoint.
     """
     if not np.isfinite(rows[..., [0, -1]]).all():
         raise DomainError("a sorted sample requires finite values")
-    if not ordered and not (rows[..., 1:] >= rows[..., :-1]).all():
+    if not (rows[..., 1:] >= rows[..., :-1]).all():
         raise DomainError("sorted sample values must be finite and "
                           "nondecreasing")
 

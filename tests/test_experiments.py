@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from w2gauss import (DomainError, EXPERIMENTS, ExperimentConfig, SortedSample,
-                     correlated_normal_pairs, replicate_w2sq, run_experiment,
+                     correlated_normal_pairs, expected_one_sample_w2sq,
+                     replicate_w2sq, run_experiment,
                      run_one_sample, standard_normals, substream,
                      truncated_second_moment, w2sq_two_sample,
                      w2sq_vs_gaussian, write_outputs)
@@ -45,13 +46,17 @@ def test_config_validation_rejections():
         dict(ok, workers=0),
         dict(ok, workers=1.9),
         dict(ok, m=True),
+        dict(ok, m=8),
         dict(ok, m_sample=1e4 + 0.5),
+        dict(ok, m_sample=100),
         dict(ok, ns=()),
         dict(ok, ns=(64.9,)),
         dict(ok, ns=(False,)),
         dict(experiment="two_sample", seed=1, ns=(100,), reps=4),  # no rho
         dict(experiment="two_sample", seed=1, ns=(100,), reps=4, rho=1.5),
         dict(experiment="two_sample", seed=1, ns=(100,), reps=4, rho="abc"),
+        dict(experiment="two_sample", seed=1, ns=(100,), reps=4, rho="0.5"),
+        dict(experiment="two_sample", seed=1, ns=(100,), reps=4, rho=False),
         dict(experiment="limit_compare", seed=1, ns=(100,), reps=4, rho=0.0),
     ]
     for kwargs in bad_cases:
@@ -208,48 +213,59 @@ def test_replicate_w2sq_matches_per_replication_loop(monkeypatch, rho,
             assert got.tobytes() == want, (reps, workers)
 
 
+def _thread_kind():
+    return ("main" if threading.current_thread() is threading.main_thread()
+            else "pool")
+
+
+def _poisoning(fill, kinds, row, col):
+    """``fill`` (``streams._keyed_normals``) that writes a NaN at ``(row,
+    col)`` of each block it fills on a thread whose kind is in ``kinds``,
+    if the block has that row."""
+    def poisoned(states, out):
+        fill(states, out)
+        if _thread_kind() in kinds and row < len(out):
+            out[row, col] = np.nan
+        return out
+    return poisoned
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_replicate_w2sq_checks_every_block(monkeypatch, workers):
-    # unsorted rows: the engine's in-place block sort leaves them as drawn
+    # ten rows of n = 16 in blocks of 3, 3 and 4 rows: only the last block
+    # is broken, so the checks must run on a block past the first
+    monkeypatch.setattr(streams, "_BLOCK_VALUES", 64)
+    assert streams._balanced_spans(10, streams._block_rows(16)) == \
+        [(0, 3), (3, 6), (6, 10)]
+    sort_rows = experiments._sort_rows
+    # unsorted rows: the engine's in-place block sort skips the last block,
+    # which leaves its rows as drawn
     with monkeypatch.context() as m:
-        m.setattr(experiments, "_sort_rows", lambda block: block)
+        m.setattr(experiments, "_sort_rows",
+                  lambda block: block if len(block) == 4 else sort_rows(block))
         with pytest.raises(DomainError, match="nondecreasing"):
             replicate_w2sq(5, "generic", 16, 10, workers=workers)
-    # a NaN in the fourth row of the block
-    real_ndtri = streams.ndtri
-
-    def nan_ndtri(u, out=None):
-        res = real_ndtri(u, out=out)
-        res[..., 3, 7] = np.nan
-        return res
-
-    monkeypatch.setattr(streams, "ndtri", nan_ndtri)
+    # a NaN in the fourth row of a block, which only the last block has
+    monkeypatch.setattr(streams, "_keyed_normals", _poisoning(
+        streams._keyed_normals, ("main", "pool"), 3, 7))
     with pytest.raises(DomainError, match="finite"):
         replicate_w2sq(5, "generic", 16, 10, workers=workers)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_replicate_w2sq_sorts_again_when_ndtri_breaks_order(monkeypatch,
-                                                          workers):
-    # one-sample blocks are sorted before ndtri; a transform that leaves a
-    # row out of order must still give the sort-after-transform values
-    real_ndtri = streams.ndtri
+def _traced_blocks(fn, events, seed, key, reps, slow_on=None):
+    """``streams._keyed_normals`` that appends ``("task", thread kind, first
+    replication of the block)`` to ``events`` as each block's task starts
+    its draw, and first sleeps 20 ms when called on a ``slow_on`` thread."""
+    first = {int(words[0]): rep for rep, words in
+             enumerate(streams._stream_states(seed, key, range(reps)))}
 
-    def swapping_ndtri(u, out=None):
-        res = real_ndtri(u, out=out)
-        row = res.reshape(-1, res.shape[-1])[0]
-        row[[2, 5]] = row[[5, 2]]
-        return res
-
-    monkeypatch.setattr(streams, "ndtri", swapping_ndtri)
-    want = _loop_w2sq(5, "one_sample", 64, 10)
-    got = replicate_w2sq(5, "one_sample", 64, 10, workers=workers)
-    assert got.tobytes() == want.tobytes()
-
-
-def _thread_kind():
-    return ("main" if threading.current_thread() is threading.main_thread()
-            else "pool")
+    def traced(states, out):
+        kind = _thread_kind()
+        events.append(("task", kind, first[int(states[0, 0])]))
+        if kind == slow_on:
+            time.sleep(0.02)
+        return fn(states, out)
+    return traced
 
 
 def _traced(fn, events, label, slow_on=None):
@@ -266,22 +282,28 @@ def _traced(fn, events, label, slow_on=None):
 
 @pytest.mark.parametrize("rho", [None, 0.6])
 def test_replicate_w2sq_caller_finishes_when_pool_lags(monkeypatch, rho):
-    # each block's W2 reduction sleeps on the pool thread, so drawn blocks
-    # pile up and the calling thread must finish some of them itself,
-    # before it has drawn the last one
+    # each block's W2 reduction sleeps on the pool thread, so submitted
+    # blocks pile up and the calling thread must draw and finish some of
+    # them itself, before the task of the last block has started
     monkeypatch.setattr(streams, "_BLOCK_VALUES", 2 ** 10)
+    n, reps = 64, 100
     events = []
-    monkeypatch.setattr(streams, "_keyed_uniforms", _traced(
-        streams._keyed_uniforms, events, "draw"))
+    monkeypatch.setattr(streams, "_keyed_normals", _traced_blocks(
+        streams._keyed_normals, events, 77, ("two_sample", n), reps))
     monkeypatch.setattr(experiments, "_w2sq_rows", _traced(
         experiments._w2sq_rows, events, "finish", slow_on="pool"))
-    n, reps = 64, 100
     got = replicate_w2sq(77, "two_sample", n, reps, rho=rho, workers=2)
-    blocks = -(-reps // streams._block_rows(n if rho is None else 2 * n))
-    assert events.count(("draw", "main")) == blocks
-    assert sum(label == "finish" for label, _ in events) == blocks
-    last_draw = len(events) - 1 - events[::-1].index(("draw", "main"))
-    assert ("finish", "main") in events[:last_draw]
+    rows = streams._block_rows(n if rho is None else 2 * n)
+    spans = streams._balanced_spans(reps, rows)
+    tasks = [e for e in events if e[0] == "task"]
+    # every block's task runs once, on one thread, and finishes there
+    assert sorted(e[2] for e in tasks) == [start for start, _ in spans]
+    assert sum(label == "finish" for label, *_ in events) == len(spans)
+    for kind in ("main", "pool"):
+        labels = [e[0] for e in events if e[1] == kind]
+        assert labels == ["task", "finish"] * (len(labels) // 2)
+    last = [e[2] for e in tasks].index(spans[-1][0])
+    assert any(kind == "main" for _, kind, _ in tasks[:last])
     assert got.tobytes() == _loop_w2sq(77, "two_sample", n, reps,
                                        rho).tobytes()
 
@@ -289,25 +311,25 @@ def test_replicate_w2sq_caller_finishes_when_pool_lags(monkeypatch, rho):
 @pytest.mark.parametrize("nan_on", ["main", "pool"])
 def test_replicate_w2sq_error_on_either_thread_raises(monkeypatch, nan_on):
     # the thread that gets the NaN block is made the fast one: a slow pool
-    # leaves blocks to the caller, a slow draw leaves them to the pool
+    # leaves blocks to the caller, a slow caller leaves them to the pool
     monkeypatch.setattr(streams, "_BLOCK_VALUES", 2 ** 10)
     slow_kind = "pool" if nan_on == "main" else "main"
-    slow_mod, slow_fn = (experiments, "_w2sq_rows") if slow_kind == "pool" \
-        else (streams, "_keyed_uniforms")
-    monkeypatch.setattr(slow_mod, slow_fn, _traced(
-        getattr(slow_mod, slow_fn), [], slow_fn, slow_on=slow_kind))
-    real_ndtri = streams.ndtri
+    if slow_kind == "pool":
+        monkeypatch.setattr(experiments, "_w2sq_rows", _traced(
+            experiments._w2sq_rows, [], "finish", slow_on="pool"))
     poisoned = []
+    keyed_normals = streams._keyed_normals
 
-    def nan_ndtri(u, out=None):
-        res = real_ndtri(u, out=out)
+    def fill(states, out):
         kind = _thread_kind()
+        if kind == slow_kind:
+            time.sleep(0.02)
         if kind == nan_on:
             poisoned.append(kind)
-            res[..., 0, 3] = np.nan
-        return res
+        return keyed_normals(states, out)
 
-    monkeypatch.setattr(streams, "ndtri", nan_ndtri)
+    monkeypatch.setattr(streams, "_keyed_normals",
+                        _poisoning(fill, (nan_on,), 0, 3))
     before = threading.active_count()
     with pytest.raises(DomainError, match="finite"):
         replicate_w2sq(5, "generic", 64, 100, workers=2)
@@ -316,43 +338,38 @@ def test_replicate_w2sq_error_on_either_thread_raises(monkeypatch, nan_on):
 
 
 def test_replicate_w2sq_caller_finishes_the_tail(monkeypatch):
-    # 3 blocks, all submitted to a slow pool: once the last one is drawn,
-    # the calling thread finishes the blocks the pool has not started
+    # 3 blocks, all submitted to a slow pool: once the last one is handed
+    # out, the calling thread draws and finishes the blocks the pool has
+    # not started, newest first
     monkeypatch.setattr(streams, "_BLOCK_VALUES", 2 ** 10)
     events = []
-    monkeypatch.setattr(streams, "_keyed_uniforms", _traced(
-        streams._keyed_uniforms, events, "draw"))
+    monkeypatch.setattr(streams, "_keyed_normals", _traced_blocks(
+        streams._keyed_normals, events, 13, ("generic", 64), 48))
     monkeypatch.setattr(experiments, "_w2sq_rows", _traced(
         experiments._w2sq_rows, events, "finish", slow_on="pool"))
     assert streams._block_rows(64) == 16
     got = replicate_w2sq(13, "generic", 64, 48, workers=2)
-    assert events.count(("draw", "main")) == 3
-    last_draw = len(events) - 1 - events[::-1].index(("draw", "main"))
-    assert ("finish", "main") in events[last_draw:]
-    assert sum(label == "finish" for label, _ in events) == 3
+    tasks = [e for e in events if e[0] == "task"]
+    assert sorted(e[2] for e in tasks) == [0, 16, 32]
+    assert sum(label == "finish" for label, *_ in events) == 3
+    on_main = [start for _, kind, start in tasks if kind == "main"]
+    assert on_main and on_main[0] == 32
     assert got.tobytes() == _loop_w2sq(13, "generic", 64, 48, None).tobytes()
 
 
 def test_replicate_w2sq_stops_drawing_after_a_failed_block(monkeypatch):
-    # 63 blocks; the pool's first block fails while the caller's draws are
-    # slow, so the error must surface within a few draws, not at the end
+    # 63 blocks; the pool's first block fails while the caller's blocks are
+    # slow, so the error must surface within a few blocks, not at the end
     monkeypatch.setattr(streams, "_BLOCK_VALUES", 2 ** 10)
     events = []
-    monkeypatch.setattr(streams, "_keyed_uniforms", _traced(
-        streams._keyed_uniforms, events, "draw", slow_on="main"))
-    real_ndtri = streams.ndtri
-
-    def nan_ndtri(u, out=None):
-        res = real_ndtri(u, out=out)
-        if _thread_kind() == "pool":
-            res[..., 0, 3] = np.nan
-        return res
-
-    monkeypatch.setattr(streams, "ndtri", nan_ndtri)
+    traced = _traced_blocks(streams._keyed_normals, events, 5,
+                            ("generic", 64), 1000, slow_on="main")
+    monkeypatch.setattr(streams, "_keyed_normals",
+                        _poisoning(traced, ("pool",), 0, 3))
     assert -(-1000 // streams._block_rows(64)) == 63
     with pytest.raises(DomainError, match="finite"):
         replicate_w2sq(5, "generic", 64, 1000, workers=2)
-    assert events.count(("draw", "main")) <= 4
+    assert sum(kind == "main" for _, kind, _ in events) <= 4
 
 
 def test_replicate_w2sq_stress_more_workers_than_cores(monkeypatch):
@@ -415,10 +432,34 @@ def test_replicate_w2sq_validation():
                    dict(rho=float("nan")), dict(domain="nope"),
                    dict(seed=-1), dict(n=8.5), dict(reps=True),
                    dict(workers=1.9), dict(seed=2.5), dict(seed=True),
-                   dict(seed="7")):
+                   dict(seed="7"), dict(rho="0.5"), dict(rho=False)):
         args = dict(seed=1, domain="generic", n=8, reps=2) | kwargs
         with pytest.raises(DomainError):
             replicate_w2sq(**args)
+
+
+def _z_score(values, want):
+    """Distance of ``values``' mean from ``want`` in standard errors."""
+    return (values.mean() - want) / (values.std(ddof=1)
+                                     / math.sqrt(values.size))
+
+
+@pytest.mark.parametrize("rho", [0.6, -0.5, 0.95])
+def test_two_sample_mean_at_one_pair(rho):
+    # at n = 1, W2^2 = (X - Y)^2 with X - Y ~ N(0, 2(1 - rho))
+    vals = replicate_w2sq(4, "two_sample", 1, 2 * 10 ** 5, rho=rho)
+    assert abs(_z_score(vals, 2.0 * (1.0 - rho))) < 4.0
+
+
+def test_one_sample_mean_at_one_point():
+    # at n = 1, W2^2 = int (Z - Phi^-1(u))^2 du = Z^2 + 1, of mean 2
+    vals = replicate_w2sq(4, "one_sample", 1, 2 * 10 ** 5)
+    assert abs(_z_score(vals, 2.0)) < 4.0
+
+
+def test_one_sample_mean_matches_exact_mean():
+    vals = replicate_w2sq(4, "one_sample", 1000, 2 * 10 ** 4)
+    assert abs(_z_score(vals, expected_one_sample_w2sq(1000) / 1000)) < 4.0
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2,

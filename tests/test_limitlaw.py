@@ -22,7 +22,7 @@ from w2gauss import (BridgePair, Correlation, CovarianceError, DomainError,
                      truncation_bias)
 from w2gauss import limitlaw, streams
 from w2gauss.special import _bvnu_vec
-from w2gauss.streams import (_balanced_spans, _keyed_uniforms,
+from w2gauss.streams import (_balanced_spans, _keyed_normals,
                              correlated_normal_pairs, standard_normals,
                              substream)
 
@@ -32,8 +32,8 @@ def _gaussian_rows(grid, rho, seed, draws):
     draws."""
     keys, width, diffs = limitlaw._mechanism(
         "gaussian_grid", grid, rho, seed, draws, None)
-    u = _keyed_uniforms(keys, np.empty((len(draws), width)))
-    return np.vstack(list(diffs(u)))
+    z = _keyed_normals(keys, np.empty((len(draws), width)))
+    return np.vstack(list(diffs(z)))
 
 
 def _pair_covariances(grid, rho):

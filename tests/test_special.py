@@ -34,11 +34,12 @@ def test_correlation_range_and_zero_flag():
     assert Correlation(0.6).zero_flag is False
     assert Correlation(0.0).zero_flag is True
     assert float(as_correlation(-0.5)) == -0.5
-    for bad in (1.0, -1.0, 1.5, math.nan):
+    for bad in (1.0, -1.0, 1.5, math.nan, False):
         with pytest.raises(DomainError):
             Correlation(bad)
-    # anything float() rejects is a DomainError too, not a TypeError
-    for bad in (None, "abc"):
+    # anything float() rejects is a DomainError too, not a TypeError, and
+    # so is a string or a bool that float() would read
+    for bad in (None, "abc", "0.5", False, np.False_):
         with pytest.raises(DomainError):
             as_correlation(bad)
 

@@ -1,4 +1,4 @@
-"""Deterministic substreams and inverse-cdf variate generation."""
+"""Deterministic substreams and variate generation."""
 
 import math
 
@@ -118,29 +118,30 @@ def test_stream_states_validation():
 
 
 @pytest.mark.parametrize("calls, n", [(1, 1), (1, 1000), (2, 7), (2, 300)])
-def test_keyed_uniforms_match_uniforms_open(calls, n):
-    # a row of calls * n uniforms is that many uniforms_open(g, n) calls
+def test_keyed_normals_match_standard_normals(calls, n):
+    # a row of calls * n normals is that many standard_normals(g, n) calls
     reps = range(3, 9)
     out = np.empty((len(reps), calls * n))
-    streams._keyed_uniforms(
+    streams._keyed_normals(
         streams._stream_states(42, ("two_sample", n), reps), out)
     for row, rep in zip(out, reps):
         g = substream(42, "two_sample", n, rep)
-        want = np.concatenate([uniforms_open(g, n) for _ in range(calls)])
+        want = np.concatenate([standard_normals(g, n) for _ in range(calls)])
         assert row.tobytes() == want.tobytes()
-        oracle = _open_oracle(substream(42, "two_sample", n, rep), calls * n)
+        oracle = substream(42, "two_sample", n, rep).standard_normal(calls * n)
         assert row.tobytes() == oracle.tobytes()
 
 
 def test_pair_replication_reads_one_row_of_its_stream(monkeypatch):
-    # a correlated-pair replication's 2n uniforms are uniforms_open(g, 2n)
-    # on its substream: X's n, then Z's n, as two uniforms_open(g, n) calls
+    # a correlated-pair replication's 2n normals are standard_normals(g, 2n)
+    # on its substream: X's n, then Z's n, as two standard_normals(g, n)
+    # calls
     monkeypatch.setattr(streams, "_BLOCK_VALUES", 64)  # 4 rows at n = 8
     blocks = []
 
-    def recording(u, rho):
-        blocks.append(u.copy())
-        return streams._pairs_inplace(u, rho)
+    def recording(z, rho):
+        blocks.append(z.copy())
+        return streams._pairs_inplace(z, rho)
 
     monkeypatch.setattr(experiments, "_pairs_inplace", recording)
     n, reps = 8, 10
@@ -149,30 +150,30 @@ def test_pair_replication_reads_one_row_of_its_stream(monkeypatch):
     assert len(blocks) == 3 and rows.shape == (reps, 2 * n)
     for rep, row in enumerate(rows):
         g = substream(3, "two_sample", n, rep)
-        assert row.tobytes() == uniforms_open(g, 2 * n).tobytes()
+        assert row.tobytes() == standard_normals(g, 2 * n).tobytes()
         g = substream(3, "two_sample", n, rep)
-        x, z = uniforms_open(g, n), uniforms_open(g, n)
+        x, z = standard_normals(g, n), standard_normals(g, n)
         assert row[:n].tobytes() == x.tobytes()
         assert row[n:].tobytes() == z.tobytes()
 
 
-def test_keyed_uniforms_high_key_words_into_reused_buffer():
+def test_keyed_normals_high_key_words_into_reused_buffer():
     # state words at and above 2^63 pass through the SFC64 state setter;
-    # the buffer is a NaN-filled view of a larger one, as the pipeline
-    # reuses its block buffers
+    # the buffer is a NaN-filled view of a larger one, as the loop reuses
+    # its block buffers
     states = np.array([[2 ** 64 - 1, 2 ** 63, 0, 2 ** 63 + 1],
                        [2 ** 63, 0, 2 ** 64 - 1, 13],
                        [12345, 2 ** 64 - 2, 2 ** 63, 2 ** 64 - 1]],
                       dtype=np.uint64)
     buffer = np.full((len(states) + 2, 257), np.nan)
     out = buffer[:len(states)]
-    assert streams._keyed_uniforms(states, out) is out
+    assert streams._keyed_normals(states, out) is out
     for row, words in zip(out, states.tolist()):
         bits = np.random.SFC64(0)
         bits.state = {"bit_generator": "SFC64", "state": {"state": words},
                       "has_uint32": 0, "uinteger": 0}
-        assert row.tobytes() == _open_oracle(
-            np.random.Generator(bits), 257).tobytes()
+        assert row.tobytes() == np.random.Generator(
+            bits).standard_normal(257).tobytes()
     assert np.isnan(buffer[len(states):]).all()
 
 
@@ -216,6 +217,32 @@ def test_standard_normals_distribution():
     assert abs(x.var() - 1.0) < 4.0 * math.sqrt(2.0 / len(x))
     ks = stats.kstest(x[:5000], "norm")
     assert ks.pvalue > 1e-4
+    # an int, a tuple or None (a 0-d array) gives the generator's shape and
+    # bits
+    for size in (5, (2, 3), None):
+        got = standard_normals(substream(8, "generic", 1), size)
+        want = np.asarray(substream(8, "generic", 1).standard_normal(size))
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+# numpy's ziggurat_nor_r: the ziggurat draws beyond it from its tail branch
+_ZIGGURAT_R = 3.6541528853610088
+
+
+def test_standard_normals_tail_branch():
+    # the count of 4e6 draws beyond the ziggurat's tail cut r is binomial
+    # with p = 2 Phi(-r), and their mean |Z| is phi(r) / Phi(-r), the mean
+    # of the normal's tail beyond r
+    n = 4 * 10 ** 6
+    tail = np.abs(standard_normals(substream(12, "generic"), n))
+    tail = tail[tail > _ZIGGURAT_R]
+    p = 2.0 * stats.norm.sf(_ZIGGURAT_R)
+    assert abs(tail.size - n * p) < 4.0 * math.sqrt(n * p * (1.0 - p))
+    mean = stats.norm.pdf(_ZIGGURAT_R) / stats.norm.sf(_ZIGGURAT_R)
+    # the variance of |Z| beyond r is 1 + r mean - mean^2
+    sd = math.sqrt(1.0 + _ZIGGURAT_R * mean - mean * mean)
+    assert abs(tail.mean() - mean) < 4.0 * sd / math.sqrt(tail.size)
 
 
 def test_correlated_pairs_correlation_and_marginals():
@@ -238,6 +265,7 @@ def test_correlated_pairs_accept_correlation_object():
 
 def test_correlated_pairs_domain():
     rng = substream(11, "generic")
-    for bad in (1.0, -1.0, 1.5, math.nan, "abc", None):
+    for bad in (1.0, -1.0, 1.5, math.nan, "abc", None, "0.5", False,
+                np.False_):
         with pytest.raises(DomainError):
             correlated_normal_pairs(rng, 10, bad)
