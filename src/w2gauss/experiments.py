@@ -27,8 +27,8 @@ from .errors import DomainError
 from .extremes import VARIANTS, extreme_mean, sample_extreme
 from .integrals import (bickel_integral, d1n, second_moment_windows,
                         truncated_second_moment)
-from .limitlaw import (MECHANISMS, _draw_summary, build_grid, ks_two_sample,
-                       sample_limit_law)
+from .limitlaw import (_KS_MIN_SIZE, MECHANISMS, _draw_summary, build_grid,
+                       ks_two_sample, sample_limit_law)
 from .special import (as_correlation, h_tail_expansion, psi, psi_expansion,
                       quantile_tail_expansion, scaled_tail, std_normal_quantile)
 from .streams import _integer, _pairs_inplace, _replicate, _stream_states
@@ -98,6 +98,10 @@ class ExperimentConfig:
             raise DomainError(
                 "limit_compare at rho = 0 has no finite limit law; pass "
                 "divergence_demo to run it as a divergence demonstration")
+        if self.experiment == "limit_compare" and self.reps < _KS_MIN_SIZE:
+            raise DomainError(
+                f"limit_compare needs reps >= {_KS_MIN_SIZE}: its KS tests "
+                f"compare samples of reps draws, got {self.reps}")
         if self.experiment in ("one_sample", "two_sample", "limit_compare") \
                 and not ns:
             raise DomainError(f"{self.experiment} requires at least one n")

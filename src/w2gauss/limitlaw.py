@@ -74,6 +74,8 @@ _JITTER_QUIET = 1e-12
 _COPULA_CHUNK = 4096
 # most rows per matrix product of the Gaussian mechanism's row strips
 _PANEL = 128
+# smallest sample ks_two_sample takes; limit_compare's reps must reach it
+_KS_MIN_SIZE = 25
 
 
 @dataclasses.dataclass(frozen=True)
@@ -548,8 +550,9 @@ def ks_two_sample(a, b) -> KSResult:
     """
     xa = np.asarray(a, dtype=float)
     xb = np.asarray(b, dtype=float)
-    if xa.ndim != 1 or xb.ndim != 1 or xa.size < 25 or xb.size < 25:
-        raise DomainError("ks_two_sample needs 1-d samples of size >= 25")
+    if xa.ndim != 1 or xb.ndim != 1 or min(xa.size, xb.size) < _KS_MIN_SIZE:
+        raise DomainError(
+            f"ks_two_sample needs 1-d samples of size >= {_KS_MIN_SIZE}")
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
         raise DomainError("ks_two_sample needs finite samples")
     if np.ptp(xa) == 0.0 or np.ptp(xb) == 0.0:

@@ -22,7 +22,8 @@ fills a ``(rows, width)`` block, one row per state, giving each row the
 normals :func:`standard_normals` draws from the same stream.
 :func:`_replicate`, the one replication loop, fills blocks of them and
 hands each to a caller's ``finish`` (W2 engine or limit law), which may
-overwrite the block in place.
+overwrite the block in place; with more than one worker it maps these
+block tasks over a thread pool, one block buffer per pool thread.
 
 Normal variates are numpy's ``Generator.standard_normal``, the ziggurat of
 Marsaglia & Tsang ("The Ziggurat Method for Generating Random Variables",
@@ -36,8 +37,8 @@ versions, so the draws are byte-stable for a fixed numpy version.
 
 from __future__ import annotations
 
-import collections
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -309,57 +310,38 @@ def _replicate(states: np.ndarray, width: int, finish,
     values it returns are copied out before that.  Blocks hold about 2^17
     numbers (1 MiB), their sizes balanced to within one row
     (:func:`_balanced_spans`).  Each block is one task, run on one thread:
-    draw it (:func:`_keyed_normals`), then finish it.  A pool of ``threads
-    = min(workers - 1, number of blocks)`` threads runs tasks: the calling
-    thread submits each block to the pool while at most ``threads + 1``
-    blocks are pending there, and otherwise runs the block's task itself.
-    With no pool threads (``workers == 1``) nothing is submitted, no thread
-    starts, and every block runs inline in one reused buffer.  Before each
-    block the calling thread collects the finished blocks at the head of the
-    queue and keeps their buffers for reuse, so at most ``workers + 2``
-    block buffers exist.  Once every block is handed out, the calling thread
-    runs each pending block the pool has not started, newest first, while
-    the pool works from the oldest.  An error in a block raises here,
-    wherever the block ran: from the pool, before the next block once the
-    blocks ahead of it are done.  It cancels the blocks still queued, and
-    raises after every pool thread has stopped.
+    draw it (:func:`_keyed_normals`), then finish it.  With ``threads =
+    min(workers, number of blocks)`` equal to one, every block runs inline
+    in one reused buffer and no thread starts; otherwise a pool of
+    ``threads`` threads maps the tasks over the blocks, and each thread
+    draws into its own buffer, allocated on its first block and reused, so
+    at most ``threads`` block buffers exist.  An error in a block cancels
+    the blocks not yet started, and raises here after every pool thread has
+    stopped.
     """
     count = len(states)
     spans = _balanced_spans(count, _block_rows(width))
     shape = (-(-count // len(spans)), width)
     out = np.empty(count)
+    # a reused buffer saves a page fault per 4 KiB
+    local = threading.local()
 
-    def run(start: int, stop: int, buffer: np.ndarray) -> None:
-        block = _keyed_normals(states[start:stop], buffer[:stop - start])
+    def run(span: tuple) -> None:
+        start, stop = span
+        if not hasattr(local, "buffer"):
+            local.buffer = np.empty(shape)
+        block = _keyed_normals(states[start:stop], local.buffer[:stop - start])
         out[start:stop] = finish(block)
 
-    threads = min(workers - 1, len(spans))
-    # submitted blocks with their spans and buffers, oldest first, and the
-    # buffers of finished blocks: a reused buffer saves a page fault per 4 KiB
-    pending, free = collections.deque(), []
-    # the executor starts its threads on the first submit, so an unused
-    # pool starts none
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+    threads = min(workers, len(spans))
+    if threads == 1:
+        for span in spans:
+            run(span)
+        return out
+    with ThreadPoolExecutor(threads) as pool:
         try:
-            for span in spans:
-                while pending and pending[0][0].done():
-                    future, _, buffer = pending.popleft()
-                    future.result()
-                    free.append(buffer)
-                buffer = free.pop() if free else np.empty(shape)
-                if threads and len(pending) <= threads + 1:
-                    pending.append((pool.submit(run, *span, buffer), span,
-                                    buffer))
-                else:
-                    run(*span, buffer)
-                    free.append(buffer)
-            # all handed out: the pool takes queued blocks from the head, the
-            # calling thread takes those the pool has not started from the tail
-            for future, span, buffer in reversed(pending):
-                if future.cancel():
-                    run(*span, buffer)
-                else:
-                    future.result()
+            for _ in pool.map(run, spans):
+                pass
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

@@ -57,7 +57,7 @@ def test_config_validation_rejections():
         dict(experiment="two_sample", seed=1, ns=(100,), reps=4, rho="abc"),
         dict(experiment="two_sample", seed=1, ns=(100,), reps=4, rho="0.5"),
         dict(experiment="two_sample", seed=1, ns=(100,), reps=4, rho=False),
-        dict(experiment="limit_compare", seed=1, ns=(100,), reps=4, rho=0.0),
+        dict(experiment="limit_compare", seed=1, ns=(100,), reps=25, rho=0.0),
     ]
     for kwargs in bad_cases:
         with pytest.raises(DomainError):
@@ -71,7 +71,7 @@ def test_config_validation_rejections():
                                         cfg.m_sample, cfg.seed))
     assert cfg.config_hash() == ExperimentConfig(**ok).config_hash()
     # rho = 0 limit comparison allowed only as an explicit divergence demo
-    ExperimentConfig(experiment="limit_compare", seed=1, ns=(100,), reps=4,
+    ExperimentConfig(experiment="limit_compare", seed=1, ns=(100,), reps=25,
                      rho=0.0, divergence_demo=True)
 
 
@@ -252,124 +252,60 @@ def test_replicate_w2sq_checks_every_block(monkeypatch, workers):
         replicate_w2sq(5, "generic", 16, 10, workers=workers)
 
 
-def _traced_blocks(fn, events, seed, key, reps, slow_on=None):
-    """``streams._keyed_normals`` that appends ``("task", thread kind, first
-    replication of the block)`` to ``events`` as each block's task starts
-    its draw, and first sleeps 20 ms when called on a ``slow_on`` thread."""
+def _tracing(fill, seed, key, reps, started, nan_at=(), slow=0.0):
+    """``fill`` (``streams._keyed_normals``) that appends the first
+    replication of each block to ``started`` as its draw starts, writes a
+    NaN into each block that starts at a replication in ``nan_at``, and
+    sleeps ``slow`` seconds in every other block."""
     first = {int(words[0]): rep for rep, words in
              enumerate(streams._stream_states(seed, key, range(reps)))}
 
     def traced(states, out):
-        kind = _thread_kind()
-        events.append(("task", kind, first[int(states[0, 0])]))
-        if kind == slow_on:
-            time.sleep(0.02)
-        return fn(states, out)
+        start = first[int(states[0, 0])]
+        started.append(start)
+        fill(states, out)
+        if start in nan_at:
+            out[0, 3] = np.nan
+        else:
+            time.sleep(slow)
+        return out
     return traced
 
 
-def _traced(fn, events, label, slow_on=None):
-    """``fn`` that appends ``(label, thread kind)`` to ``events`` on each
-    call, and first sleeps 20 ms when called on a ``slow_on`` thread."""
-    def traced(*args, **kwargs):
-        kind = _thread_kind()
-        events.append((label, kind))
-        if kind == slow_on:
-            time.sleep(0.02)
-        return fn(*args, **kwargs)
-    return traced
-
-
-@pytest.mark.parametrize("rho", [None, 0.6])
-def test_replicate_w2sq_caller_finishes_when_pool_lags(monkeypatch, rho):
-    # each block's W2 reduction sleeps on the pool thread, so submitted
-    # blocks pile up and the calling thread must draw and finish some of
-    # them itself, before the task of the last block has started
+def test_replicate_w2sq_error_in_any_block_raises(monkeypatch):
+    # seven blocks of 16 rows at n = 64: a NaN in the first, a middle or the
+    # last block raises, and every pool thread has stopped by then
     monkeypatch.setattr(streams, "_BLOCK_VALUES", 2 ** 10)
-    n, reps = 64, 100
-    events = []
-    monkeypatch.setattr(streams, "_keyed_normals", _traced_blocks(
-        streams._keyed_normals, events, 77, ("two_sample", n), reps))
-    monkeypatch.setattr(experiments, "_w2sq_rows", _traced(
-        experiments._w2sq_rows, events, "finish", slow_on="pool"))
-    got = replicate_w2sq(77, "two_sample", n, reps, rho=rho, workers=2)
-    rows = streams._block_rows(n if rho is None else 2 * n)
-    spans = streams._balanced_spans(reps, rows)
-    tasks = [e for e in events if e[0] == "task"]
-    # every block's task runs once, on one thread, and finishes there
-    assert sorted(e[2] for e in tasks) == [start for start, _ in spans]
-    assert sum(label == "finish" for label, *_ in events) == len(spans)
-    for kind in ("main", "pool"):
-        labels = [e[0] for e in events if e[1] == kind]
-        assert labels == ["task", "finish"] * (len(labels) // 2)
-    last = [e[2] for e in tasks].index(spans[-1][0])
-    assert any(kind == "main" for _, kind, _ in tasks[:last])
-    assert got.tobytes() == _loop_w2sq(77, "two_sample", n, reps,
-                                       rho).tobytes()
-
-
-@pytest.mark.parametrize("nan_on", ["main", "pool"])
-def test_replicate_w2sq_error_on_either_thread_raises(monkeypatch, nan_on):
-    # the thread that gets the NaN block is made the fast one: a slow pool
-    # leaves blocks to the caller, a slow caller leaves them to the pool
-    monkeypatch.setattr(streams, "_BLOCK_VALUES", 2 ** 10)
-    slow_kind = "pool" if nan_on == "main" else "main"
-    if slow_kind == "pool":
-        monkeypatch.setattr(experiments, "_w2sq_rows", _traced(
-            experiments._w2sq_rows, [], "finish", slow_on="pool"))
-    poisoned = []
-    keyed_normals = streams._keyed_normals
-
-    def fill(states, out):
-        kind = _thread_kind()
-        if kind == slow_kind:
-            time.sleep(0.02)
-        if kind == nan_on:
-            poisoned.append(kind)
-        return keyed_normals(states, out)
-
-    monkeypatch.setattr(streams, "_keyed_normals",
-                        _poisoning(fill, (nan_on,), 0, 3))
+    spans = streams._balanced_spans(100, streams._block_rows(64))
+    assert len(spans) == 7
+    fill = streams._keyed_normals
     before = threading.active_count()
-    with pytest.raises(DomainError, match="finite"):
-        replicate_w2sq(5, "generic", 64, 100, workers=2)
-    assert poisoned and set(poisoned) == {nan_on}
-    assert threading.active_count() == before
-
-
-def test_replicate_w2sq_caller_finishes_the_tail(monkeypatch):
-    # 3 blocks, all submitted to a slow pool: once the last one is handed
-    # out, the calling thread draws and finishes the blocks the pool has
-    # not started, newest first
-    monkeypatch.setattr(streams, "_BLOCK_VALUES", 2 ** 10)
-    events = []
-    monkeypatch.setattr(streams, "_keyed_normals", _traced_blocks(
-        streams._keyed_normals, events, 13, ("generic", 64), 48))
-    monkeypatch.setattr(experiments, "_w2sq_rows", _traced(
-        experiments._w2sq_rows, events, "finish", slow_on="pool"))
-    assert streams._block_rows(64) == 16
-    got = replicate_w2sq(13, "generic", 64, 48, workers=2)
-    tasks = [e for e in events if e[0] == "task"]
-    assert sorted(e[2] for e in tasks) == [0, 16, 32]
-    assert sum(label == "finish" for label, *_ in events) == 3
-    on_main = [start for _, kind, start in tasks if kind == "main"]
-    assert on_main and on_main[0] == 32
-    assert got.tobytes() == _loop_w2sq(13, "generic", 64, 48, None).tobytes()
+    for workers in (2, 3):
+        for start, _ in (spans[0], spans[3], spans[-1]):
+            started = []
+            monkeypatch.setattr(streams, "_keyed_normals", _tracing(
+                fill, 5, ("generic", 64), 100, started, nan_at=(start,)))
+            with pytest.raises(DomainError, match="finite"):
+                replicate_w2sq(5, "generic", 64, 100, workers=workers)
+            assert start in started
+            assert threading.active_count() == before, (workers, start)
 
 
 def test_replicate_w2sq_stops_drawing_after_a_failed_block(monkeypatch):
-    # 63 blocks; the pool's first block fails while the caller's blocks are
-    # slow, so the error must surface within a few blocks, not at the end
+    # 63 blocks; the first fails at once while every other block is slow, so
+    # the error cancels the blocks not yet started: besides the failed block,
+    # at most one per pool thread starts
     monkeypatch.setattr(streams, "_BLOCK_VALUES", 2 ** 10)
-    events = []
-    traced = _traced_blocks(streams._keyed_normals, events, 5,
-                            ("generic", 64), 1000, slow_on="main")
-    monkeypatch.setattr(streams, "_keyed_normals",
-                        _poisoning(traced, ("pool",), 0, 3))
     assert -(-1000 // streams._block_rows(64)) == 63
-    with pytest.raises(DomainError, match="finite"):
-        replicate_w2sq(5, "generic", 64, 1000, workers=2)
-    assert sum(kind == "main" for _, kind, _ in events) <= 4
+    fill = streams._keyed_normals
+    for workers in (2, 3):
+        started = []
+        monkeypatch.setattr(streams, "_keyed_normals", _tracing(
+            fill, 5, ("generic", 64), 1000, started, nan_at=(0,),
+            slow=0.05))
+        with pytest.raises(DomainError, match="finite"):
+            replicate_w2sq(5, "generic", 64, 1000, workers=workers)
+        assert 0 in started and len(started) - 1 <= workers, started
 
 
 def test_replicate_w2sq_stress_more_workers_than_cores(monkeypatch):
@@ -394,27 +330,14 @@ def test_replicate_w2sq_stress_more_workers_than_cores(monkeypatch):
 
 def test_replicate_w2sq_bounds_its_threads(monkeypatch):
     pool_sizes = []
-    peak_threads = []
 
     class RecordingPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             pool_sizes.append(max_workers)
             super().__init__(max_workers)
 
-        def submit(self, *args, **kwargs):
-            future = super().submit(*args, **kwargs)
-            peak_threads.append(threading.active_count())
-            return future
-
     monkeypatch.setattr(streams, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(streams, "_BLOCK_VALUES", 64)  # 4 rows at n = 16
-    before = threading.active_count()
-    replicate_w2sq(5, "generic", 16, 1, workers=8)     # one block
-    replicate_w2sq(5, "generic", 16, 12, workers=8)    # three blocks
-    assert pool_sizes == [1, 3]
-    assert max(peak_threads) <= before + 3
-    # no pool threads: nothing is submitted and no thread starts
-    peak_threads.clear()
     counts = []
     w2sq_rows = experiments._w2sq_rows
 
@@ -423,8 +346,18 @@ def test_replicate_w2sq_bounds_its_threads(monkeypatch):
         return w2sq_rows(*args)
 
     monkeypatch.setattr(experiments, "_w2sq_rows", counting)
+    before = threading.active_count()
+    # a pool of min(workers, blocks) threads, one task per block
+    for workers, reps, threads in ((8, 12, 3), (2, 40, 2)):
+        counts.clear()
+        replicate_w2sq(5, "generic", 16, reps, workers=workers)
+        assert pool_sizes.pop() == threads
+        assert len(counts) == reps // 4 and max(counts) <= before + threads
+    # one thread, at workers = 1 or with one block: no pool, no thread starts
+    counts.clear()
     replicate_w2sq(5, "generic", 16, 12, workers=1)    # three blocks
-    assert not peak_threads and counts == [before] * 3
+    replicate_w2sq(5, "generic", 16, 1, workers=8)     # one block
+    assert not pool_sizes and counts == [before] * 4
 
 
 def test_replicate_w2sq_validation():
@@ -634,6 +567,27 @@ def test_cli_rho_zero_guard(tmp_path, capsys):
                "--seed", "5", "--out", str(tmp_path / "q")])
     assert rc == 2
     assert "divergence" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_limit_compare_needs_reps_for_its_ks_tests(tmp_path, capsys,
+                                                   monkeypatch):
+    # the KS rows need 25 draws a sample: fewer reps are refused by the
+    # config, before any draw and before any file is written
+    def no_draw(*args):
+        raise AssertionError("drew normals")
+
+    monkeypatch.setattr(streams, "_keyed_normals", no_draw)
+    ok = dict(experiment="limit_compare", seed=3, ns=(2000,), rho=0.6, m=16)
+    ExperimentConfig(**ok, reps=25)
+    with pytest.raises(DomainError, match="reps >= 25"):
+        ExperimentConfig(**ok, reps=24)
+    out = tmp_path / "few"
+    rc = main(["limit-compare", "--rho", "0.6", "--m", "16", "--n", "2000",
+               "--reps", "10", "--seed", "3", "--out", str(out)])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "DomainError" and "reps" in doc["message"]
+    assert not os.path.exists(out)
 
 
 def test_cli_counts_must_be_integers(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Deterministic substreams and variate generation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -243,6 +244,46 @@ def test_standard_normals_tail_branch():
     # the variance of |Z| beyond r is 1 + r mean - mean^2
     sd = math.sqrt(1.0 + _ZIGGURAT_R * mean - mean * mean)
     assert abs(tail.mean() - mean) < 4.0 * sd / math.sqrt(tail.size)
+
+
+# SFC64(0)'s state: its first 4096 normals include one tail-branch draw
+# (|x| = 4.89) and take 4170 raw words, 74 beyond one per value
+_CANARY_STATE = (9957867060933711493, 532597980065565856,
+                 14769588338631205282, 13)
+_CANARY_SHA256 = \
+    "aab7b2c3d88814b7e4f595c0121a59ce096797432abf7f1b04539ccb9bd61a51"
+
+
+def _sfc64_at(words):
+    bits = np.random.SFC64(0)
+    state = bits.state
+    state["state"]["state"] = np.array(words, dtype=np.uint64)
+    bits.state = state
+    return bits
+
+
+def test_ziggurat_canary():
+    # every seeded table rests on numpy's ziggurat, which NEP 19 leaves free
+    # to change between numpy releases: a release that changes it fails
+    # here, by name, besides moving the golden CSV digests
+    bits = _sfc64_at(_CANARY_STATE)
+    x = np.random.Generator(bits).standard_normal(4096)
+    changed = (f"numpy {np.__version__} draws other normals from a fixed "
+               "SFC64 state than the ziggurat the seeded tables were made "
+               "with")
+    assert np.abs(x).max() > _ZIGGURAT_R, changed  # the tail branch ran
+    # the fast path takes one raw word per value; the tail, the wedge tests
+    # and each rejection's fresh draw take the words beyond 4096
+    after = bits.state["state"]["state"]
+    probe = _sfc64_at(_CANARY_STATE)
+    probe.random_raw(4096)
+    extra = 0
+    while not np.array_equal(probe.state["state"]["state"], after):
+        assert extra < 4096, "the state after the draw was never reached"
+        probe.random_raw()
+        extra += 1
+    digest = hashlib.sha256(x.astype("<f8").tobytes()).hexdigest()
+    assert (digest, extra) == (_CANARY_SHA256, 74), changed
 
 
 def test_correlated_pairs_correlation_and_marginals():

@@ -245,6 +245,47 @@ def test_w2sq_vs_gaussian_matches_exact_sum(mp_tables, n, samples):
     assert max(errors) <= 1e-13, max(errors)
 
 
+def _mp_pathwise_w2sq(z):
+    """``W_2^2(F_n, Phi)`` of the sorted float sample ``z`` by the pathwise
+    identity ``2 int_0^1 D(U_n(u), u) / h(u) du`` at 30 digits.
+
+    ``U_n`` is the empirical cdf of the ``Phi(Z_i)`` and ``D(c, u) = h(u) -
+    x (c - u) - h(c)``, ``x = Phi^{-1}(u)``, is the Bregman gap of the
+    concave ``h = phi(Phi^{-1})``, with ``h(0) = h(1) = 0``.  ``U_n = k/n``
+    between ``Phi(Z_(k))`` and ``Phi(Z_(k+1))``; with ``u = Phi(x)``,
+    ``du / h(u) = dx``, so each piece is ``int D(k/n, Phi(x)) dx`` from
+    ``Z_(k)`` to ``Z_(k+1)``, which ``mpmath.quad`` takes.  No cell table
+    enters.
+    """
+    n = z.size
+    with mpmath.workdps(30):
+        ends = [-mpmath.inf, *map(mpmath.mpf, z.tolist()), mpmath.inf]
+        pieces = []
+        for k in range(n + 1):
+            c = mpmath.mpf(k) / n
+            h_c = mpmath.npdf(_mp_quantile(c)) if 0 < k < n else 0
+
+            def gap(x, c=c, h_c=h_c):
+                # c - Phi(x), with no cancellation in either tail
+                below = (c - mpmath.ncdf(x) if x < 0
+                         else mpmath.ncdf(-x) - (1 - c))
+                return mpmath.npdf(x) - x * below - h_c
+
+            pieces.append(mpmath.quad(gap, [ends[k], ends[k + 1]]))
+        return 2 * mpmath.fsum(pieces)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13])
+def test_w2sq_vs_gaussian_matches_pathwise_identity(n):
+    z = np.sort(standard_normals(substream(21, "one_sample", n, 0), n))
+    got = w2sq_vs_gaussian(SortedSample(z))
+    want = _mp_pathwise_w2sq(z)
+    assert abs(got - want) <= 1e-14 * want, (got, want)
+    if n == 1:  # W2^2(delta_z, Phi) = z^2 + 1
+        with mpmath.workdps(30):
+            assert abs(want - (mpmath.mpf(z[0]) ** 2 + 1)) <= 1e-25
+
+
 # --------------------------------------------------------------------------
 # two-sample distance
 # --------------------------------------------------------------------------
