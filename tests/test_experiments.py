@@ -272,22 +272,32 @@ def _tracing(fill, seed, key, reps, started, nan_at=(), slow=0.0):
     return traced
 
 
-def test_replicate_w2sq_error_in_any_block_raises(monkeypatch):
-    # seven blocks of 16 rows at n = 64: a NaN in the first, a middle or the
-    # last block raises, and every pool thread has stopped by then
+@pytest.mark.parametrize("nan_on", ["main", "pool"])
+def test_replicate_w2sq_error_on_either_thread_raises(monkeypatch, nan_on):
+    # seven blocks of 16 rows at n = 64: one worker runs every block inline
+    # on the calling thread, two or three run them on the pool; either way a
+    # NaN in the first, a middle or the last block raises, and every pool
+    # thread has stopped by then
     monkeypatch.setattr(streams, "_BLOCK_VALUES", 2 ** 10)
     spans = streams._balanced_spans(100, streams._block_rows(64))
     assert len(spans) == 7
     fill = streams._keyed_normals
     before = threading.active_count()
-    for workers in (2, 3):
+    for workers in ((1,) if nan_on == "main" else (2, 3)):
         for start, _ in (spans[0], spans[3], spans[-1]):
-            started = []
-            monkeypatch.setattr(streams, "_keyed_normals", _tracing(
-                fill, 5, ("generic", 64), 100, started, nan_at=(start,)))
+            started, kinds = [], set()
+            traced = _tracing(fill, 5, ("generic", 64), 100, started,
+                              nan_at=(start,))
+
+            def fill_on(states, out):
+                kinds.add(_thread_kind())
+                return traced(states, out)
+
+            monkeypatch.setattr(streams, "_keyed_normals", fill_on)
             with pytest.raises(DomainError, match="finite"):
                 replicate_w2sq(5, "generic", 64, 100, workers=workers)
             assert start in started
+            assert kinds == {nan_on}, (workers, start, kinds)
             assert threading.active_count() == before, (workers, start)
 
 
