@@ -19,7 +19,13 @@ warm-up rounds.  Seeded replications need thousands of streams per run, so
 :func:`_stream_states` does that hashing and warm-up for a whole range of
 replication indices in one vectorised pass, and :func:`_keyed_normals`
 fills a ``(rows, width)`` block, one row per state, giving each row the
-normals :func:`standard_normals` draws from the same stream.
+normals :func:`standard_normals` draws from the same stream.  Each thread
+fills its rows from one private SFC64 generator, made on the thread's first
+fill and kept in a module-level ``threading.local``: per row, the four state
+words are written straight into the generator's C state through a view of
+them, and the row is drawn.  When a thread's generator is made, known words
+written through that view are read back through the ``state`` getter, so a
+numpy whose SFC64 lays its state out otherwise raises at once.
 :func:`_replicate`, the one replication loop, fills blocks of them and
 hands each to a caller's ``finish`` (W2 engine or limit law), which may
 overwrite the block in place; with more than one worker it maps these
@@ -37,6 +43,7 @@ versions, so the draws are byte-stable for a fixed numpy version.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -165,6 +172,8 @@ def _stream_states(seed: int, key: tuple, reps: range) -> np.ndarray:
     above 2^32 adds a second word, so only those lanes mix it.
     """
     seed = _integer("seed", seed, 0)
+    if reps.step != 1:
+        raise DomainError(f"replication range must have step 1, got {reps}")
     *prefix, _ = _key_ints((*key, reps.start))
     run = _words(seed)
     shared = np.array(run + [0] * (_POOL - len(run))
@@ -228,22 +237,55 @@ def standard_normals(rng: np.random.Generator, size) -> np.ndarray:
     return np.asarray(rng.standard_normal(size))
 
 
+# words the probe of each thread's generator writes through its state view
+_PROBE_WORDS = (2 ** 64 - 1, 2 ** 63, 0, 2 ** 63 + 1)
+# each thread's keyed generator and the view of its state words
+_KEYED = threading.local()
+
+
+def _keyed_generator() -> tuple:
+    """This thread's ``(Generator, words)``: a private SFC64 generator and a
+    writable ``(4,)`` uint64 view of its four state words, made and probed
+    on the thread's first call.
+
+    The view reads the SFC64's C state at ``bits.ctypes.state_address``;
+    the probe writes ``_PROBE_WORDS`` through it and reads them back
+    through the ``state`` getter, with no buffered 32-bit half.
+    """
+    keyed = getattr(_KEYED, "generator", None)
+    if keyed is None:
+        bits = np.random.SFC64(0)
+        words = np.frombuffer((ctypes.c_uint64 * 4).from_address(
+            bits.ctypes.state_address), dtype=np.uint64)
+        words[...] = _PROBE_WORDS
+        state = bits.state
+        if (tuple(state["state"]["state"].tolist()) != _PROBE_WORDS
+                or state["has_uint32"] != 0):
+            raise RuntimeError(
+                f"numpy {np.__version__}: SFC64's four state words are not "
+                "the first words at its ctypes state_address")
+        # the Generator holds the SFC64, which owns the words under the view
+        keyed = _KEYED.generator = (np.random.Generator(bits), words)
+    return keyed
+
+
 def _keyed_normals(states: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill row ``r`` of ``out``, a float64 ``(len(states), width)`` array
     with contiguous rows, with ``standard_normals(g, width)`` on the SFC64
     stream whose state is ``states[r]``.
 
-    One private SFC64 takes each row's state through its state setter, with
-    no buffered 32-bit half, as a freshly seeded one starts, and its
-    generator fills the row in place.
+    This thread's generator (:func:`_keyed_generator`) takes each row's four
+    state words, written straight into its C state, and fills the row in
+    place.  ``standard_normal`` draws only 64-bit words, so the generator
+    never buffers a 32-bit half and each row starts as a freshly seeded
+    SFC64 at that state would.
     """
-    bits = np.random.SFC64(0)
-    gen = np.random.Generator(bits)
-    state = {"bit_generator": "SFC64", "state": {"state": None},
-             "has_uint32": 0, "uinteger": 0}
-    for row, words in zip(out, states):
-        state["state"]["state"] = words
-        bits.state = state
+    if len(states) != len(out):
+        raise DomainError(
+            f"{len(states)} stream states for {len(out)} rows of normals")
+    gen, words = _keyed_generator()
+    for row, state in zip(out, states):
+        words[...] = state
         gen.standard_normal(out=row)
     return out
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -112,6 +114,10 @@ def test_stream_states_validation():
                  (5, ("generic", 2.7), range(3))):
         with pytest.raises(DomainError):
             streams._stream_states(*args)
+    # a stepped range is refused, not read as its start and stop
+    for reps in (range(0, 10, 2), range(5, 0, -1)):
+        with pytest.raises(DomainError, match="step"):
+            streams._stream_states(7, ("generic", 4), reps)
     want = streams._stream_states(7, ("generic", 4), range(3))
     for seed in (np.uint64(7), 7.0):
         got = streams._stream_states(seed, ("generic", 4.0), range(3))
@@ -159,7 +165,8 @@ def test_pair_replication_reads_one_row_of_its_stream(monkeypatch):
 
 
 def test_keyed_normals_high_key_words_into_reused_buffer():
-    # state words at and above 2^63 pass through the SFC64 state setter;
+    # state words at and above 2^63 written into the generator's C state
+    # give the normals the SFC64 state setter gives;
     # the buffer is a NaN-filled view of a larger one, as the loop reuses
     # its block buffers
     states = np.array([[2 ** 64 - 1, 2 ** 63, 0, 2 ** 63 + 1],
@@ -176,6 +183,100 @@ def test_keyed_normals_high_key_words_into_reused_buffer():
         assert row.tobytes() == np.random.Generator(
             bits).standard_normal(257).tobytes()
     assert np.isnan(buffer[len(states):]).all()
+
+
+def test_keyed_generator_state_view():
+    # words at and above 2^63 written through the view read back through
+    # the state getter; an odd-width fill buffers no 32-bit half
+    gen, words = streams._keyed_generator()
+    assert streams._keyed_generator()[0] is gen
+    bits = gen.bit_generator
+    want = [2 ** 64 - 1, 2 ** 63, 0, 2 ** 63 + 1]
+    words[...] = want
+    state = bits.state
+    assert state["state"]["state"].tolist() == want
+    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+    gen.standard_normal(out=np.empty(7))
+    state = bits.state
+    assert state["state"]["state"].tolist() == words.tolist() != want
+    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+
+
+def test_keyed_normals_on_more_threads_than_cores():
+    # six threads fill at once, switching every microsecond: each row is
+    # still its own substream's normals, so no thread draws from another's
+    # generator
+    width, reps = 33, range(40)
+    states = streams._stream_states(4, ("generic", width), reps)
+    want = np.stack([substream(4, "generic", width, rep)
+                     .standard_normal(width) for rep in reps])
+    outs = [np.empty((len(reps), width)) for _ in range(6)]
+
+    def fill(out):
+        for _ in range(20):
+            streams._keyed_normals(states, out)
+
+    threads = [threading.Thread(target=fill, args=(out,)) for out in outs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for out in outs:
+        assert out.tobytes() == want.tobytes()
+
+
+def test_keyed_generator_probe_names_numpy_version(monkeypatch):
+    # an SFC64 whose state getter does not show the words written at its
+    # state address is refused when a thread makes its generator
+    class Misplaced(np.random.SFC64):
+        @property
+        def state(self):
+            state = super().state
+            state["state"]["state"] = state["state"]["state"][::-1].copy()
+            return state
+
+    monkeypatch.setattr(np.random, "SFC64", Misplaced)
+    errors = []
+
+    def make():
+        try:
+            streams._keyed_generator()
+        except RuntimeError as exc:
+            errors.append(str(exc))
+
+    thread = threading.Thread(target=make)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert len(errors) == 1 and f"numpy {np.__version__}" in errors[0]
+
+
+def test_keyed_normals_carry_nothing_between_calls():
+    # back-to-back fills on one thread's generator: each row is a fresh
+    # substream's normals, whatever the width of the call before
+    for width in (1, 7, 257, 2000):
+        reps = range(2, 6)
+        out = np.empty((len(reps), width))
+        streams._keyed_normals(
+            streams._stream_states(9, ("generic", width), reps), out)
+        for row, rep in zip(out, reps):
+            want = substream(9, "generic", width, rep).standard_normal(width)
+            assert row.tobytes() == want.tobytes(), (width, rep)
+
+
+def test_keyed_normals_refuses_row_count_mismatch():
+    states = streams._stream_states(7, ("generic", 4), range(4))
+    for rows in (2, 4):
+        out = np.full((3, 4), np.nan)
+        with pytest.raises(DomainError, match="rows"):
+            streams._keyed_normals(states[:rows], out)
+        assert np.isnan(out).all()
 
 
 def test_open_unit_conversion_at_lattice_edges():
