@@ -19,14 +19,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import os
 
 import numpy as np
 
 from .errors import DomainError
 from .extremes import VARIANTS, extreme_mean, sample_extreme
-from .integrals import (bickel_integral, d1n, second_moment_windows,
-                        truncated_second_moment)
+from .integrals import (DELTA_FLOOR, bickel_integral, d1n,
+                        second_moment_windows, truncated_second_moment)
 from .limitlaw import (_KS_MIN_SIZE, MECHANISMS, _draw_summary, build_grid,
                        ks_two_sample, sample_limit_law)
 from .special import (as_correlation, h_tail_expansion, psi, psi_expansion,
@@ -89,10 +90,16 @@ class ExperimentConfig:
             raise DomainError("seed must be an explicit unsigned 64-bit int")
         ns = tuple(_integer("n", n, 1) for n in self.ns)
         object.__setattr__(self, "ns", ns)
-        if self.experiment in _NEEDS_RHO:
-            if self.rho is None:
-                raise DomainError(f"{self.experiment} requires rho")
-            as_correlation(self.rho)  # range check
+        if self.rho is not None:
+            as_correlation(self.rho)  # type and range check
+        elif self.experiment in _NEEDS_RHO:
+            raise DomainError(f"{self.experiment} requires rho")
+        if self.delta is not None and not (
+                isinstance(self.delta, numbers.Real)
+                and not isinstance(self.delta, bool)
+                and DELTA_FLOOR <= self.delta < 0.25):
+            raise DomainError(f"delta must be a real number in "
+                              f"[{DELTA_FLOOR:g}, 0.25), got {self.delta!r}")
         if self.experiment == "limit_compare" and float(self.rho) == 0.0 \
                 and not self.divergence_demo:
             raise DomainError(

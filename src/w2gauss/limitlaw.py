@@ -44,8 +44,8 @@ from .integrals import DELTA_FLOOR, truncated_second_moment
 # _bvnu_scalar is unused here but stays bound: perfbench/tracer.py rebinds it
 from .special import (Correlation, _bvnu_scalar, _bvnu_vec, as_correlation,
                       copula_diagonal_gap, density_quantile_h)
-from .streams import (_balanced_spans, _integer, _keyed_normals,
-                      _pairs_inplace, _replicate, _stream_states)
+from .streams import (_integer, _keyed_normals, _pairs_inplace, _replicate,
+                      _stream_states)
 
 __all__ = [
     "GridSpec",
@@ -72,8 +72,6 @@ _JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9)
 _JITTER_QUIET = 1e-12
 # K_D pairs per _bvnu_vec call: bounds the quadrature's temporaries
 _COPULA_CHUNK = 4096
-# most rows per matrix product of the Gaussian mechanism's row strips
-_PANEL = 128
 # smallest sample ks_two_sample takes; limit_compare's reps must reach it
 _KS_MIN_SIZE = 25
 
@@ -92,8 +90,7 @@ class GridSpec:
     nodes: np.ndarray
 
     def __post_init__(self):
-        if self.m < 16:
-            raise DomainError(f"grid size m >= 16 required, got {self.m}")
+        object.__setattr__(self, "m", _integer("m", self.m, 16))
         if not (0.0 < self.delta < 0.25):
             raise DomainError(f"delta must lie in (0, 1/4), got {self.delta!r}")
         arr = np.asarray(self.nodes, dtype=float)
@@ -393,38 +390,18 @@ def _sum_factor(grid: GridSpec, rho: float) -> np.ndarray:
 # the two mechanisms
 # --------------------------------------------------------------------------
 
-def _coupled_bridges(grid: GridSpec, rho: float, m_sample: int):
-    """Map a ``(rows, 2 m_sample)`` block of standard normals (one row per
-    draw, overwritten) to those draws' ``(rows, 2, m)`` empirical bridges
-    ``bx, by``."""
+def _coupled_bridges(z: np.ndarray, grid: GridSpec, rho: float) -> np.ndarray:
+    """The ``(rows, 2, m)`` empirical bridges ``bx, by`` of a ``(rows, 2
+    m_sample)`` block of standard normals, one row per draw, which it
+    overwrites: each row's ``m_sample = z.shape[1] // 2`` coupled pairs,
+    sorted and counted below the node quantiles."""
+    m_sample = z.shape[1] // 2
     xq = ndtri(grid.nodes)
-
-    def coupled(z: np.ndarray) -> np.ndarray:
-        xy = _pairs_inplace(z, rho)
-        xy.sort(axis=2)  # in place: the block is the loop's buffer
-        counts = np.array([[np.searchsorted(sample, xq, side="right")
-                            for sample in pair] for pair in xy])
-        return (counts / m_sample - grid.nodes) * math.sqrt(m_sample)
-    return coupled
-
-
-def _mechanism(mechanism: str, grid: GridSpec, rho: float, seed: int,
-               draws: range, m_sample: int):
-    """``(states, width, diffs)`` of ``draws``: ``diffs`` maps a ``(rows,
-    width)`` block of the states' normals (one row per draw) to those
-    draws' differences ``bx - by``, as consecutive strips of rows, each a
-    new array."""
-    if mechanism == "gaussian_grid":
-        LT = _cholesky_factor(grid, rho).T
-
-        def gaussian(z: np.ndarray):
-            return (z[s:e] @ LT for s, e in _balanced_spans(len(z), _PANEL))
-        return (_stream_states(seed, ("limit_gaussian",), draws), grid.m,
-                gaussian)
-    m_sample = _integer("m_sample", m_sample, 10 ** 4)
-    coupled = _coupled_bridges(grid, rho, m_sample)
-    return (_stream_states(seed, ("limit_empirical",), draws), 2 * m_sample,
-            lambda z: [np.subtract(*coupled(z).swapaxes(0, 1))])
+    xy = _pairs_inplace(z, rho)
+    xy.sort(axis=2)  # in place: the block is the loop's buffer
+    counts = np.array([[np.searchsorted(sample, xq, side="right")
+                        for sample in pair] for pair in xy])
+    return (counts / m_sample - grid.nodes) * math.sqrt(m_sample)
 
 
 def _gaussian_pairs(grid: GridSpec, rho: float, seed: int, draws: range):
@@ -471,8 +448,8 @@ def simulate_bridge_pair_coupled(grid: GridSpec, rho, m_sample: int,
     draw_index = _integer("draw_index", draw_index, 0)
     states = _stream_states(seed, ("limit_empirical",),
                             range(draw_index, draw_index + 1))
-    bx, by = _coupled_bridges(grid, corr.rho, m_sample)(
-        _keyed_normals(states, np.empty((1, 2 * m_sample))))[0]
+    bx, by = _coupled_bridges(
+        _keyed_normals(states, np.empty((1, 2 * m_sample))), grid, corr.rho)[0]
     return BridgePair(grid=grid, bx=bx, by=by, rho=corr)
 
 
@@ -585,9 +562,11 @@ def sample_limit_law(rho, grid: GridSpec, n_draws: int, mechanism: str,
     integral ``M(0, delta)``, which grows like ``2 log log (1/delta)``,
     so the draws approximate no finite-limit law.  (The same growth
     occurs for every ``|rho| < 1``; rho = 0 is simply where the classical
-    result makes it well known.)  Deterministic given ``seed``: draw j
-    always uses the same substream regardless of blocks or ``workers``,
-    the width of the :func:`streams._replicate` pipeline both run on.
+    result makes it well known.)  Draw j is row j of the
+    :func:`streams._replicate` loop, on its own substream, whatever the
+    blocks or ``workers``; each block's differences are one product with
+    the factor of ``K_D`` (``gaussian_grid``) or the difference of the
+    two bridges of :func:`_coupled_bridges` (``empirical_coupling``).
     """
     corr = as_correlation(rho)
     if mechanism not in MECHANISMS:
@@ -602,12 +581,22 @@ def sample_limit_law(rho, grid: GridSpec, n_draws: int, mechanism: str,
             "(truncated means grow without bound as delta -> 0); pass "
             "divergence_demo=True to sample the truncated functional "
             "deliberately")
-    states, width, diffs = _mechanism(mechanism, grid, corr.rho, seed,
-                                      range(n_draws), m_sample)
     h = np.asarray(density_quantile_h(grid.nodes))
-    values = _replicate(
-        states, width,
-        lambda u: np.concatenate([_functional_rows(d, grid.nodes, h)
-                                  for d in diffs(u)]), workers)
+    if mechanism == "gaussian_grid":
+        key, width = "limit_gaussian", grid.m
+        LT = _cholesky_factor(grid, corr.rho).T
+
+        def finish(z: np.ndarray) -> np.ndarray:
+            return _functional_rows(z @ LT, grid.nodes, h)
+    else:
+        key = "limit_empirical"
+        width = 2 * _integer("m_sample", m_sample, 10 ** 4)
+
+        def finish(z: np.ndarray) -> np.ndarray:
+            bridges = _coupled_bridges(z, grid, corr.rho)
+            return _functional_rows(bridges[:, 0] - bridges[:, 1],
+                                    grid.nodes, h)
+    values = _replicate(_stream_states(seed, (key,), range(n_draws)), width,
+                        finish, workers)
     return LimitSample(values=values, rho=corr, mechanism=mechanism,
                        grid=grid, seed=seed)

@@ -15,7 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from w2gauss import (DomainError, EXPERIMENTS, ExperimentConfig, SortedSample,
+from w2gauss import (DELTA_FLOOR, DomainError, EXPERIMENTS, ExperimentConfig,
+                     SortedSample,
                      correlated_normal_pairs, expected_one_sample_w2sq,
                      replicate_w2sq, run_experiment,
                      run_one_sample, standard_normals, substream,
@@ -58,6 +59,23 @@ def test_config_validation_rejections():
         dict(experiment="two_sample", seed=1, ns=(100,), reps=4, rho="0.5"),
         dict(experiment="two_sample", seed=1, ns=(100,), reps=4, rho=False),
         dict(experiment="limit_compare", seed=1, ns=(100,), reps=25, rho=0.0),
+        # rho is checked wherever it is given, not only where it is needed
+        dict(experiment="integrals", seed=1, rho="0.5"),
+        dict(experiment="integrals", seed=1, rho="abc"),
+        dict(experiment="integrals", seed=1, rho=1.0),
+        dict(ok, rho=True),
+        # delta lies in [DELTA_FLOOR, 1/4) and is a real number
+        dict(ok, delta=0.5),
+        dict(ok, delta=0.25),
+        dict(ok, delta=0),
+        dict(ok, delta=1e-300),
+        dict(ok, delta=math.nan),
+        dict(ok, delta="abc"),
+        dict(ok, delta="1e-3"),
+        dict(ok, delta=b"1e-3"),
+        dict(ok, delta=True),
+        dict(experiment="two_sample", seed=1, ns=(100,), reps=4, rho=0.6,
+             delta=0.5),
     ]
     for kwargs in bad_cases:
         with pytest.raises(DomainError):
@@ -70,6 +88,13 @@ def test_config_validation_rejections():
     assert all(type(v) is int for v in (*cfg.ns, cfg.reps, cfg.workers,
                                         cfg.m_sample, cfg.seed))
     assert cfg.config_hash() == ExperimentConfig(**ok).config_hash()
+    # a valid rho or delta is stored as given, so its hash does not move
+    for field, value in (("rho", 0.5), ("rho", np.float64(0.5)),
+                         ("delta", 1e-3), ("delta", DELTA_FLOOR)):
+        cfg = ExperimentConfig(**dict(ok, **{field: value}))
+        assert getattr(cfg, field) is value
+    assert ExperimentConfig(**dict(ok, rho=0.5)).config_hash() == \
+        ExperimentConfig(**dict(ok, rho=np.float64(0.5))).config_hash()
     # rho = 0 limit comparison allowed only as an explicit divergence demo
     ExperimentConfig(experiment="limit_compare", seed=1, ns=(100,), reps=25,
                      rho=0.0, divergence_demo=True)
@@ -415,8 +440,8 @@ def test_one_sample_mean_matches_exact_mean():
       "--workers", "2", "--seed", "7"], "two_sample.csv"),
     (["limit-compare", "--rho", "0.6", "--m", "64", "--n", "2000",
       "--reps", "60", "--delta", "1e-3", "--seed", "34"], "limit.csv"),
-    # a K_D factor of more than 128 columns, and the 200 draws in two row
-    # strips
+    # a K_D factor of more than 128 columns, and the 200 draws in one
+    # 200-row product with it
     (["limit-compare", "--rho", "0.6", "--m", "160", "--n", "2000",
       "--reps", "200", "--delta", "1e-3", "--seed", "34"], "limit.csv"),
 ], ids=["one_sample", "two_sample", "limit_compare",
@@ -597,6 +622,31 @@ def test_limit_compare_needs_reps_for_its_ks_tests(tmp_path, capsys,
     assert rc == 2
     doc = json.loads(capsys.readouterr().err)
     assert doc["error"] == "DomainError" and "reps" in doc["message"]
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("delta", ["0.5", "0", "1e-300", "abc"])
+def test_two_sample_refuses_delta_before_drawing(tmp_path, capsys,
+                                                 monkeypatch, delta):
+    # delta sets only the reference mean, computed after the draws: the
+    # config refuses it before any draw and before any file is written;
+    # a number comes as a flag, a string only from a config file
+    def no_draw(*args):
+        raise AssertionError("drew normals")
+
+    monkeypatch.setattr(streams, "_keyed_normals", no_draw)
+    if delta == "abc":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"delta": delta}))
+        given = ["--config", str(cfg_path)]
+    else:
+        given = ["--delta", delta]
+    out = tmp_path / "bad"
+    rc = main(["two-sample", "--rho", "0.6", "--n", "2000", "--reps", "3000",
+               "--seed", "3", "--out", str(out), *given])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "DomainError" and "delta" in doc["message"]
     assert not os.path.exists(out)
 
 

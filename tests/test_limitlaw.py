@@ -22,7 +22,7 @@ from w2gauss import (BridgePair, Correlation, CovarianceError, DomainError,
                      truncation_bias)
 from w2gauss import limitlaw, streams
 from w2gauss.special import _bvnu_vec
-from w2gauss.streams import (_balanced_spans, _keyed_normals,
+from w2gauss.streams import (_balanced_spans, _keyed_normals, _stream_states,
                              correlated_normal_pairs, standard_normals,
                              substream)
 
@@ -30,10 +30,9 @@ from w2gauss.streams import (_balanced_spans, _keyed_normals,
 def _gaussian_rows(grid, rho, seed, draws):
     """Difference rows ``bx - by`` of ``sample_limit_law``'s Gaussian
     draws."""
-    keys, width, diffs = limitlaw._mechanism(
-        "gaussian_grid", grid, rho, seed, draws, None)
-    z = _keyed_normals(keys, np.empty((len(draws), width)))
-    return np.vstack(list(diffs(z)))
+    z = _keyed_normals(_stream_states(seed, ("limit_gaussian",), draws),
+                       np.empty((len(draws), grid.m)))
+    return z @ limitlaw._cholesky_factor(grid, rho).T
 
 
 def _pair_covariances(grid, rho):
@@ -108,13 +107,24 @@ def test_grid_rejections():
 
 
 def test_grid_size_is_an_integer():
-    # an integral float is that size; a fraction is refused, not truncated
+    # an integral float is that size, also in a GridSpec made directly (the
+    # sampler's block spans need an int); a fraction is refused, not
+    # truncated
     grid = build_grid(512.0, 1e-3)
     assert type(grid.m) is int
     assert grid.nodes.tobytes() == build_grid(512, 1e-3).nodes.tobytes()
+    nodes = build_grid(16, 1e-3).nodes
+    spec = GridSpec(m=16.0, delta=1e-3, nodes=nodes)
+    assert spec.m == 16 and type(spec.m) is int
+    got = sample_limit_law(0.6, spec, 30, "gaussian_grid", 1).values
+    want = sample_limit_law(0.6, build_grid(16, 1e-3), 30, "gaussian_grid",
+                            1).values
+    assert got.tobytes() == want.tobytes()
     for bad in (16.5, True):
         with pytest.raises(DomainError, match="integer"):
             build_grid(bad, 1e-3)
+        with pytest.raises(DomainError, match="integer"):
+            GridSpec(m=bad, delta=1e-3, nodes=nodes)
 
 
 # --------------------------------------------------------------------------
@@ -691,23 +701,25 @@ def test_single_coupled_draw_matches_per_draw_loop():
 
 @pytest.mark.parametrize("rows", [1, 2, 5, 17, 128, 129, 300])
 def test_row_strips_are_balanced(rows):
-    strips = _balanced_spans(rows, limitlaw._PANEL)
-    assert len(strips) == -(-rows // limitlaw._PANEL)
+    strips = _balanced_spans(rows, 128)
+    assert len(strips) == -(-rows // 128)
     assert strips[0][0] == 0 and strips[-1][1] == rows
     assert all(a[1] == b[0] for a, b in zip(strips, strips[1:]))
     sizes = [e - s for s, e in strips]
-    assert max(sizes) <= limitlaw._PANEL and max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= 128 and max(sizes) - min(sizes) <= 1
 
 
 @pytest.mark.parametrize("n_draws", [41, 100])
 def test_gaussian_row_strips_keep_bytes(monkeypatch, n_draws):
-    # strips of 10 to 12 rows against one product over every row; strips
-    # of a few rows may take another BLAS kernel (below 5 rows at m = 256
-    # with OpenBLAS 0.3.31 on x86-64)
+    # blocks of 10 to 12 rows, one product each, against one product over
+    # every row; a product of a few rows may take another BLAS kernel
+    # (below 5 rows at m = 256 with OpenBLAS 0.3.31 on x86-64)
     grid = build_grid(256, 1e-3)
     monkeypatch.setattr(limitlaw, "_factor_cache", {})
-    monkeypatch.setattr(limitlaw, "_PANEL", 12)
-    assert len(_balanced_spans(n_draws, limitlaw._PANEL)) >= 4
+    monkeypatch.setattr(streams, "_BLOCK_VALUES", 12 * grid.m)
+    blocks = _balanced_spans(n_draws, streams._block_rows(grid.m))
+    assert len(blocks) >= 4
+    assert min(e - s for s, e in blocks) >= 10
     want = _per_draw_loop(0.6, grid, n_draws, "gaussian_grid", 12, None)
     got = sample_limit_law(0.6, grid, n_draws, "gaussian_grid", 12).values
     assert got.tobytes() == want.tobytes()
